@@ -32,6 +32,7 @@ from repro.runtime import (
     CampaignResult,
     ConfigError,
     ENGINES,
+    InOrderJournal,
     JournalError,
     campaign_metadata,
     default_journal_path,
@@ -263,6 +264,7 @@ def _cmd_inject_incremental(args, module, config, metadata,
                   f"path", file=sys.stderr)
             return 2
     journal = CampaignJournal(journal_path) if journal_path else None
+    ordered = InOrderJournal(journal) if journal is not None else None
 
     def on_start(info) -> None:
         # The incremental header key follows the journal's conditional
@@ -278,7 +280,7 @@ def _cmd_inject_incremental(args, module, config, metadata,
             jobs=args.jobs,
             chunk_size=args.chunk_size,
             progress=progress,
-            on_result=journal.record if journal else None,
+            on_result=ordered.record if ordered else None,
             on_start=on_start,
             min_section_trials=args.min_section_trials,
             update_store=not args.no_update_store,
@@ -287,6 +289,8 @@ def _cmd_inject_incremental(args, module, config, metadata,
         print(str(exc), file=sys.stderr)
         return 2
     except (CampaignInterrupted, KeyboardInterrupt) as exc:
+        if ordered is not None:
+            ordered.flush_out_of_order()
         if args.progress:
             print(file=sys.stderr)
         done = getattr(exc, "done", 0)
@@ -364,11 +368,13 @@ def cmd_inject(args) -> int:
         )
 
     journal = CampaignJournal(journal_path) if journal_path else None
-    on_result = None
+    ordered = None
     if journal is not None:
         if not resuming:
             journal.write_header(metadata)
-        on_result = journal.record
+        # Records reach the journal in trial order whatever the worker
+        # count, skipping the indices a resumed journal already holds.
+        ordered = InOrderJournal(journal, done=completed or ())
     try:
         campaign = run_campaign(
             module, config,
@@ -376,12 +382,14 @@ def cmd_inject(args) -> int:
             chunk_size=args.chunk_size,
             progress=progress,
             completed=completed,
-            on_result=on_result,
+            on_result=ordered.record if ordered else None,
         )
     except CampaignInterrupted as exc:
-        # Ctrl-C mid-campaign: the journal already holds every finished
-        # trial (streamed via on_result), so report the partial outcome
-        # mix and how to pick the campaign back up.
+        # Ctrl-C mid-campaign: flush the finished trials held back for
+        # order, so the journal keeps every one of them; then report the
+        # partial outcome mix and how to pick the campaign back up.
+        if ordered is not None:
+            ordered.flush_out_of_order()
         if args.progress:
             print(file=sys.stderr)
         print(f"# interrupted: {exc.done}/{exc.total} trials completed",
@@ -447,7 +455,7 @@ def cmd_inject(args) -> int:
     for worker, count in sorted(campaign.worker_trials.items()):
         print(f"# {worker}: {count} trials")
     if campaign.pool_restarts:
-        print(f"# pool restarts after worker crashes: {campaign.pool_restarts}")
+        print(f"# worker restarts after crashes: {campaign.pool_restarts}")
     if campaign.resumed_trials:
         print(f"# trials replayed from journal: {campaign.resumed_trials}")
     if journal_path:
@@ -788,7 +796,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes; results are identical to "
                              "--jobs 1 for any value (default 1)")
     inject.add_argument("--chunk-size", type=int, default=None,
-                        help="trials per worker task (default: auto)")
+                        help="trials per dispatched batch (default: "
+                             "auto, eight batches per worker)")
     inject.add_argument("--progress", action="store_true",
                         help="report completed-trial counts on stderr")
     inject.add_argument("--journal", nargs="?", const="auto", default=None,
@@ -916,7 +925,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes; journals and corpora are "
                              "identical to --jobs 1 for any value")
     fuzz_p.add_argument("--chunk-size", type=int, default=None,
-                        help="programs per worker task (default: auto)")
+                        help="programs per dispatched batch (default: "
+                             "auto, eight batches per worker)")
     fuzz_p.add_argument("--journal", default=None, metavar="PATH",
                         help="append per-program results to a JSONL "
                              "journal (its SHA-256 is the campaign "

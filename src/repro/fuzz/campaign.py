@@ -4,22 +4,23 @@ A fuzz campaign enumerates program indices ``start .. start+budget-1``;
 index ``i`` deterministically names the program generated from
 ``derive_program_seed(seed, i)``, so — exactly like SFI trials — the
 work partitions across processes in any chunking whatsoever and still
-produces the serial result bit for bit.  The architecture deliberately
-mirrors :mod:`repro.runtime.parallel`: workers are initialised once
-with a small picklable payload, claim index chunks, and the driver
-merges results back into index order.
+produces the serial result bit for bit.  ``jobs > 1`` runs programs on
+the same supervised executor as SFI campaigns
+(:class:`repro.runtime.parallel.Executor`): workers receive the
+settings once, pull index batches, and stream each record back.
 
 **Journal.** Every completed program appends one JSON line to an
 optional journal file (same discipline as
 :mod:`repro.runtime.journal`): a header pins the campaign identity —
 seed, generator profile, oracle list, campaign-oracle sampling stride,
 and the full generator configuration — and records follow *in index
-order* (an in-memory hold-back buffer delays out-of-order parallel
-completions).  Nothing nondeterministic (wall clock, job count, host)
-is ever written, so the SHA-256 of the journal bytes doubles as the
-campaign fingerprint: two runs agree iff their journals are
-bit-identical.  Resume works like SFI campaigns: records already in
-the journal are trusted and skipped, new ones are appended.
+order* (:class:`repro.runtime.journal.InOrderJournal` holds back
+out-of-order parallel completions).  Nothing nondeterministic (wall
+clock, job count, host) is ever written, so the SHA-256 of the journal
+bytes doubles as the campaign fingerprint: two runs agree iff their
+journals are bit-identical.  Resume works like SFI campaigns: records
+already in the journal are trusted and skipped, a line torn by a crash
+is cut off, and new records are appended.
 
 **Dedup and corpus.** Findings are deduplicated by ``(oracle,
 fingerprint)`` — the coarse failure class, not the concrete program —
@@ -36,9 +37,8 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.fuzz.generator import (
     PROFILES,
@@ -52,7 +52,13 @@ from repro.fuzz.oracles import (
     run_oracles,
 )
 from repro.fuzz.reduce import ReductionResult, count_instructions, reduce_program
-from repro.runtime.parallel import default_chunk_size, _pool_context
+from repro.runtime.journal import (
+    InOrderJournal,
+    JournalError,
+    cut_torn_tail,
+    journal_lines,
+)
+from repro.runtime.parallel import Executor
 
 JOURNAL_VERSION = 1
 
@@ -194,11 +200,14 @@ class FuzzResult:
 
 
 class FuzzJournal:
-    """Append-only JSONL journal, in index order, torn-tail tolerant."""
+    """Append-only JSONL journal, torn-tail tolerant; wrapped in an
+    :class:`~repro.runtime.journal.InOrderJournal` it is written in
+    index order."""
 
     def __init__(self, path, settings: FuzzSettings) -> None:
         self.path = Path(path)
         self.settings = settings
+        cut_torn_tail(str(self.path))
         exists = self.path.exists() and self.path.stat().st_size > 0
         self._fh = open(self.path, "a", encoding="utf-8")
         if not exists:
@@ -209,7 +218,7 @@ class FuzzJournal:
         self._fh.flush()
         os.fsync(self._fh.fileno())
 
-    def append(self, record: FuzzRecord) -> None:
+    def record(self, index: int, record: FuzzRecord) -> None:
         self._write(record.to_json())
 
     def close(self) -> None:
@@ -223,23 +232,29 @@ class FuzzJournal:
 
 
 def load_fuzz_journal(path) -> Tuple[Dict, Dict[int, FuzzRecord]]:
-    """Read a journal back; tolerates a torn final line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a journal back; tolerates a torn final line.
+
+    Raises :class:`~repro.runtime.journal.JournalError` (a
+    ``ValueError``) naming the problem when the file is empty, its
+    header is torn or foreign, or a complete line is corrupt.
+    """
+    lines, torn = journal_lines(str(path))
     if not lines:
-        raise ValueError(f"fuzz journal {path} is empty")
-    header = json.loads(lines[0])
+        raise JournalError(
+            f"fuzz journal {path} has a torn header" if torn
+            else f"fuzz journal {path} is empty"
+        )
+    (_, header), *rows = lines
     if header.get("kind") != "fuzz-journal":
-        raise ValueError(f"{path} is not a fuzz journal")
+        raise JournalError(f"{path} is not a fuzz journal")
     records: Dict[int, FuzzRecord] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, data in rows:
         try:
-            record = FuzzRecord.from_json(json.loads(line))
-        except (json.JSONDecodeError, KeyError):
-            if lineno == len(lines):  # torn tail from a crash mid-write
-                break
-            raise ValueError(f"{path}:{lineno}: corrupt journal record")
+            record = FuzzRecord.from_json(data)
+        except KeyError:
+            raise JournalError(
+                f"{path}:{lineno}: corrupt journal record"
+            ) from None
         records[record.index] = record
     return header, records
 
@@ -290,25 +305,12 @@ def run_program(settings: FuzzSettings, index: int) -> FuzzRecord:
     )
 
 
-# -- parallel workers -------------------------------------------------
-
-_WORKER_SETTINGS: Optional[FuzzSettings] = None
-
-
-def _init_worker(settings: FuzzSettings) -> None:
-    global _WORKER_SETTINGS
-    _WORKER_SETTINGS = settings
-
-
-def _run_chunk(indices: Sequence[int]) -> List[Tuple[int, Dict]]:
-    assert _WORKER_SETTINGS is not None
-    return [
-        (index, run_program(_WORKER_SETTINGS, index).to_json())
-        for index in indices
-    ]
-
-
 # -- the campaign -----------------------------------------------------
+
+
+def _lost_program(index: int) -> FuzzRecord:
+    raise RuntimeError(f"fuzz program {index} killed its worker on every "
+                       "retry")
 
 
 def run_fuzz_campaign(
@@ -334,63 +336,37 @@ def run_fuzz_campaign(
     """
     started = time.monotonic()
     indices = list(range(start, start + budget))
-    completed = dict(completed or {})
-    pending = [i for i in indices if i not in completed]
+    completed = completed or {}
     results: Dict[int, FuzzRecord] = {
         i: completed[i] for i in indices if i in completed
     }
-    done_count = len(results)
+    pending = [i for i in indices if i not in results]
     total = len(indices)
+    # Records leave for the journal strictly in index order, so parallel
+    # journals are byte-identical to serial ones.  A Ctrl-C leaves the
+    # held-back records unwritten: they re-run on resume, which keeps
+    # the resumed journal byte-identical too.
+    ordered = (
+        InOrderJournal(journal, start_index=start, done=results)
+        if journal is not None else None
+    )
 
-    # The hold-back buffer: records enter in completion order but leave
-    # for the journal strictly in index order, so parallel journals are
-    # byte-identical to serial ones.
-    emitted: Dict[int, FuzzRecord] = {}
-    emit_cursor = [0]
-
-    def emit(record: FuzzRecord) -> None:
-        emitted[record.index] = record
-        while emit_cursor[0] < len(pending):
-            expected = pending[emit_cursor[0]]
-            if expected not in emitted:
-                break
-            if journal is not None:
-                journal.append(emitted[expected])
-            emit_cursor[0] += 1
+    def deliver(index: int, record: FuzzRecord) -> None:
+        results[index] = record
+        if ordered is not None:
+            ordered.record(index, record)
+        if progress:
+            progress(len(results), total)
 
     if jobs <= 1 or len(pending) <= 1:
         for index in pending:
-            record = run_program(settings, index)
-            results[index] = record
-            emit(record)
-            done_count += 1
-            if progress:
-                progress(done_count, total)
+            deliver(index, run_program(settings, index))
     else:
-        chunk = chunk_size or default_chunk_size(len(pending), jobs)
-        chunks = [
-            pending[i:i + chunk] for i in range(0, len(pending), chunk)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(chunks)),
-            mp_context=_pool_context(),
-            initializer=_init_worker,
-            initargs=(settings,),
-        ) as pool:
-            futures = {pool.submit(_run_chunk, c): c for c in chunks}
-            outstanding = set(futures)
-            while outstanding:
-                finished, outstanding = wait(
-                    outstanding, return_when=FIRST_COMPLETED
-                )
-                for future in finished:
-                    for index, data in future.result():
-                        record = FuzzRecord.from_json(data)
-                        results[index] = record
-                        emit(record)
-                        done_count += 1
-                    if progress:
-                        progress(done_count, total)
+        Executor(
+            run_program, {index: index for index in pending},
+            payload=settings, workers=jobs, batch_size=chunk_size,
+            lost=_lost_program, on_result=deliver,
+        ).run()
 
     records = [results[i] for i in indices]
     result = FuzzResult(

@@ -258,7 +258,6 @@ def run_incremental_campaign(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     progress=None,
-    max_pool_retries: int = 2,
     on_result: Optional[Callable[[int, TrialResult], None]] = None,
     on_start: Optional[Callable[[Dict[str, Any]], None]] = None,
     min_section_trials: int = 8,
@@ -301,8 +300,7 @@ def run_incremental_campaign(
         return _build_store(
             module, store, profile, identity, module_fp, weights,
             total_sites, config, externals=externals, jobs=jobs,
-            chunk_size=chunk_size, progress=progress,
-            max_pool_retries=max_pool_retries, on_result=on_result,
+            chunk_size=chunk_size, progress=progress, on_result=on_result,
             on_start=on_start, update_store=update_store, start=start,
         )
 
@@ -401,8 +399,7 @@ def run_incremental_campaign(
     executed = run_plans(
         module, profile.golden, plans, config, externals=externals,
         memory_image=MachineMemory.pristine(module), jobs=jobs,
-        chunk_size=chunk_size, progress=progress,
-        max_pool_retries=max_pool_retries, on_result=emit,
+        chunk_size=chunk_size, progress=progress, on_result=emit,
     )
     results = executed.trials
     for plan, trial in zip(plans, results):
@@ -472,7 +469,6 @@ def _build_store(
     jobs: int,
     chunk_size: Optional[int],
     progress,
-    max_pool_retries: int,
     on_result: Optional[Callable[[int, TrialResult], None]],
     on_start: Optional[Callable[[Dict[str, Any]], None]],
     update_store: bool,
@@ -498,8 +494,7 @@ def _build_store(
 
     result = run_campaign(
         module, config, externals=externals, jobs=jobs,
-        chunk_size=chunk_size, progress=progress,
-        max_pool_retries=max_pool_retries, on_result=emit,
+        chunk_size=chunk_size, progress=progress, on_result=emit,
     )
     records: Dict[str, SectionRecord] = {}
     status: Dict[str, str] = {}

@@ -426,9 +426,21 @@ class SectionStore:
         return store
 
     def load(self) -> None:
-        with open(self.path, encoding="utf-8") as handle:
-            data = json.load(handle)
-        if data.get("kind") != "incremental-store":
+        try:
+            with open(self.path, encoding="utf-8") as handle:
+                text = handle.read()
+            # save() always ends the file with a newline: without it
+            # the file was cut short, even where the JSON still parses.
+            if not text.endswith("\n"):
+                raise ValueError("no final newline")
+            data = json.loads(text)
+        except ValueError as exc:  # JSON or UTF-8 decoding
+            raise IncrementalError(
+                f"section store {self.path} is truncated or corrupt "
+                f"({exc}); delete it to rebuild the store"
+            ) from None
+        if (not isinstance(data, dict)
+                or data.get("kind") != "incremental-store"):
             raise IncrementalError(f"{self.path} is not an incremental store")
         if data.get("version") != STORE_VERSION:
             raise IncrementalError(

@@ -1,18 +1,18 @@
-"""Health accounting for the campaign service: worker heartbeats,
+"""Health accounting for the supervised executor: worker heartbeats,
 batch lifecycle, and the retry/backoff policy.
 
-The dispatcher (:mod:`repro.service.dispatch`) is event-driven; this
+The executor (:class:`repro.runtime.parallel.Executor`) acts; this
 module is the bookkeeping it consults.  Everything here is plain state
 — no I/O, no processes — so the watchdog semantics (when is a worker
 *hung*? when does a batch *quarantine*?) are unit-testable with a fake
-clock, independent of the asyncio machinery that acts on them.
+clock, independent of the process machinery that acts on them.
 
 Lifecycle invariants:
 
 * a **worker** is ``starting`` until its golden-run replay completes,
   then alternates ``idle``/``busy``; death (crash, SIGKILL, or a
   watchdog kill after a heartbeat lapse) makes it ``dead`` until the
-  dispatcher restarts the slot, which increments ``restarts``;
+  executor restarts the slot, which increments ``restarts``;
 * every trial result a worker streams back is a **heartbeat**; a busy
   worker silent for longer than ``heartbeat_timeout`` is presumed hung
   and killed — its batch is re-queued, not lost;
@@ -25,6 +25,7 @@ Lifecycle invariants:
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -80,15 +81,6 @@ class BatchState:
     #: work-stealing: any idle worker may claim it).
     assigned_slot: Optional[int] = None
 
-    def snapshot(self) -> Dict:
-        return {
-            "batch": self.batch_id,
-            "trials": len(self.indices),
-            "status": self.status,
-            "attempts": self.attempts,
-            "worker": self.worker,
-        }
-
 
 @dataclasses.dataclass
 class WorkerHealth:
@@ -101,7 +93,7 @@ class WorkerHealth:
     trials_done: int = 0
     batches_done: int = 0
     #: Processes that have died in this slot (each one restarted,
-    #: until the dispatcher's restart budget runs out).
+    #: until the executor's restart budget runs out).
     restarts: int = 0
     current_batch: Optional[int] = None
 
@@ -127,7 +119,7 @@ class HealthMonitor:
 
     ``beat`` timestamps any sign of life (readiness, a streamed trial,
     a batch completion); ``overdue`` names the busy slots whose last
-    heartbeat is older than ``heartbeat_timeout`` — the dispatcher
+    heartbeat is older than ``heartbeat_timeout`` — the executor
     kills those, re-queues their batches, and restarts the slot.
     Starting workers get a separate (longer) allowance because the
     golden-run replay is legitimate silent work.
@@ -147,18 +139,11 @@ class HealthMonitor:
 
     def track(self, slot: int, pid: Optional[int],
               now: Optional[float] = None) -> WorkerHealth:
-        now = time.monotonic() if now is None else now
-        health = WorkerHealth(
-            slot=slot, pid=pid, state=WORKER_STARTING, last_heartbeat=now,
-            restarts=(
-                self.workers[slot].restarts if slot in self.workers else 0
-            ),
-            trials_done=(
-                self.workers[slot].trials_done if slot in self.workers else 0
-            ),
-            batches_done=(
-                self.workers[slot].batches_done if slot in self.workers else 0
-            ),
+        # A restarted slot keeps its counters.
+        health = dataclasses.replace(
+            self.workers.get(slot) or WorkerHealth(slot),
+            pid=pid, state=WORKER_STARTING, current_batch=None,
+            last_heartbeat=time.monotonic() if now is None else now,
         )
         self.workers[slot] = health
         return health
@@ -217,9 +202,7 @@ def shard_batches(
 
 
 def default_batch_size(trials: int, workers: int) -> int:
-    """Eight batches per worker: finer than the pool engine's four so
-    work-stealing has slack to rebalance around stragglers, while each
-    batch still amortises its dispatch round-trip."""
-    import math
-
+    """Eight batches per worker: fine enough that work-stealing has
+    slack to rebalance around stragglers, while each batch still
+    amortises its dispatch round-trip."""
     return max(1, math.ceil(trials / (max(workers, 1) * 8)))

@@ -14,12 +14,16 @@ The format is deliberately dumb:
 * line 1: ``{"kind": "campaign", "version": 1, ...metadata}``
 * then:   ``{"kind": "trial", "index": i, "outcome": ..., ...}``
 
-Appends are flushed per record; a line torn by a crash mid-write is
-ignored on load (it will simply be re-run).  Records may appear in any
-order (parallel chunks complete out of order) and may be duplicated
-(a chunk retried after a pool crash); the last record for an index
-wins, which is safe because records for the same index are identical
-by determinism.
+Appends are flushed per record.  A line is complete only once its
+newline is on disk: a final line torn by a crash mid-write is ignored
+on load (it will simply be re-run), and the next writer cuts it off
+before its first append (:func:`cut_torn_tail`).  Any other line that
+does not decode refuses the whole journal.  Records are written in
+trial order (:class:`InOrderJournal`), except after an interrupted
+parallel run, whose finished results are flushed out of order; a
+record may also be duplicated.  The last record for an index wins,
+which is safe because records for the same index are identical by
+determinism.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import dataclasses
 import hashlib
 import json
 import os
-from typing import Any, Dict, Optional, TextIO, Tuple
+from typing import Any, Dict, Iterable, List, Optional, TextIO, Tuple
 
 from repro.runtime.config import NONDEFAULT, CampaignConfig, campaign_config
 from repro.runtime.detection import DetectionModel
@@ -134,6 +138,7 @@ class CampaignJournal:
             directory = os.path.dirname(self.path)
             if directory:
                 os.makedirs(directory, exist_ok=True)
+            cut_torn_tail(self.path)
             self._handle = open(self.path, "a", encoding="utf-8")
         return self._handle
 
@@ -171,104 +176,137 @@ class CampaignJournal:
 
 
 class InOrderJournal:
-    """A hold-back wrapper around :class:`CampaignJournal`.
+    """A hold-back writer: appends records strictly in index order.
 
-    Parallel and service campaigns complete trials out of order and may
-    deliver duplicates (a batch retried after a worker crash); this
-    wrapper buffers results and appends them strictly in trial-index
-    order, first delivery wins — so the journal a sharded campaign
-    writes is *byte-identical* to the one a serial ``inject`` run
-    writes (the invariant the campaign server's tests enforce).
+    It wraps any journal with a ``record(index, item)`` method — a
+    :class:`CampaignJournal` or a fuzz journal.  Parallel and served
+    campaigns complete out of order; this wrapper buffers results and
+    appends them in index order, first delivery wins — so the journal a
+    sharded campaign writes is *byte-identical* to the one a serial run
+    writes.  Indices in ``done`` (already journaled by a resumed
+    campaign) are skipped, so a journal with gaps still drains.
 
     ``flush_out_of_order()`` abandons the in-order guarantee and dumps
-    whatever is buffered beyond the contiguous prefix: the shutdown
-    path uses it so completed work survives a drain — the journal
+    whatever is buffered beyond the contiguous prefix: the interrupt
+    and drain paths use it so completed work survives — the journal
     format tolerates out-of-order records, only byte-identity is lost.
     """
 
-    def __init__(self, journal: CampaignJournal, start_index: int = 0) -> None:
+    def __init__(self, journal, start_index: int = 0,
+                 done: Iterable[int] = ()) -> None:
         self.journal = journal
-        self._held: Dict[int, TrialResult] = {}
+        self._held: Dict[int, Any] = {}
         self._cursor = start_index
-        self._written: set = set()
-
-    @property
-    def cursor(self) -> int:
-        """The next trial index the in-order stream is waiting for."""
-        return self._cursor
+        self._written = set(done)
+        self._advance()
 
     @property
     def held(self) -> int:
         """Out-of-order results currently buffered."""
         return len(self._held)
 
-    def record(self, index: int, trial: TrialResult) -> None:
+    def record(self, index: int, item: Any) -> None:
         if index in self._written or index in self._held or index < self._cursor:
             return  # duplicate delivery (retried batch): first wins
-        self._held[index] = trial
-        while self._cursor in self._held:
-            self.journal.record(self._cursor, self._held.pop(self._cursor))
-            self._written.add(self._cursor)
+        self._held[index] = item
+        self._advance()
+
+    def _advance(self) -> None:
+        while True:
+            if self._cursor in self._held:
+                self.journal.record(self._cursor, self._held.pop(self._cursor))
+                self._written.add(self._cursor)
+            elif self._cursor not in self._written:
+                return
             self._cursor += 1
 
-    def flush_out_of_order(self) -> int:
+    def flush_out_of_order(self) -> None:
         """Append every held record regardless of order (drain path)."""
-        flushed = 0
         for index in sorted(self._held):
             self.journal.record(index, self._held.pop(index))
             self._written.add(index)
-            flushed += 1
-        return flushed
 
     def close(self) -> None:
         self.journal.close()
+
+
+def cut_torn_tail(path: str) -> None:
+    """Cut a final line torn by a crash back to the last newline.
+
+    Appending straight onto a torn fragment would glue the next record
+    to it and lose that record on load; every journal writer calls this
+    before its first append.
+    """
+    try:
+        handle = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with handle:
+        size = handle.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        handle.seek(size - 1)
+        if handle.read(1) == b"\n":
+            return
+        handle.seek(0)
+        handle.truncate(handle.read().rfind(b"\n") + 1)
+
+
+def journal_lines(path: str) -> Tuple[List[Tuple[int, Dict[str, Any]]], bool]:
+    """Decode a JSONL journal: ``([(lineno, record), ...], torn)``.
+
+    A line is complete once its newline is on disk.  Bytes after the
+    last newline are a line torn by a crash mid-append: they are left
+    out and ``torn`` is true.  Blank lines are skipped; any complete
+    line that is not a JSON object raises :class:`JournalError` naming
+    it, because no crash of the writer can produce one.
+    """
+    with open(path, "rb") as handle:
+        *lines, tail = handle.read().split(b"\n")
+    decoded: List[Tuple[int, Dict[str, Any]]] = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:  # JSON or UTF-8 decoding
+            record = None
+        if not isinstance(record, dict):
+            raise JournalError(f"{path}:{lineno}: corrupt journal line")
+        decoded.append((lineno, record))
+    return decoded, bool(tail)
 
 
 def load_journal(path: str) -> Tuple[Dict[str, Any], Dict[int, TrialResult]]:
     """Read a journal back: ``(metadata, {index: TrialResult})``.
 
     Tolerates a torn final line (crash mid-append) and duplicate
-    records (chunks retried after a pool crash).  Raises
-    :class:`JournalError` when the file has no valid header.
+    records.  Raises :class:`JournalError` when the file has no valid
+    header or a corrupt complete line (see :func:`journal_lines`).
     """
     metadata: Optional[Dict[str, Any]] = None
     completed: Dict[int, TrialResult] = {}
-    torn_before_header = 0
     fields = {f.name for f in dataclasses.fields(TrialResult)}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # A torn *tail* (crash mid-append) is re-run harmlessly;
-                # a torn line before any header means the header itself
-                # was torn mid-write — count it so the refusal below can
-                # say so instead of the generic "no header".
-                if metadata is None:
-                    torn_before_header += 1
-                continue
-            kind = record.get("kind")
-            if kind == "campaign":
-                if record.get("version") != JOURNAL_VERSION:
-                    raise JournalError(
-                        f"journal version {record.get('version')} != "
-                        f"{JOURNAL_VERSION}"
-                    )
-                metadata = {
-                    k: v for k, v in record.items()
-                    if k not in ("kind", "version")
-                }
-            elif kind == "trial" and metadata is not None:
-                index = record.get("index")
-                payload = {k: v for k, v in record.items()
-                           if k in fields}
-                if isinstance(index, int) and "outcome" in payload:
-                    completed[index] = TrialResult(**payload)
+    lines, torn = journal_lines(path)
+    for _lineno, record in lines:
+        kind = record.get("kind")
+        if kind == "campaign":
+            if record.get("version") != JOURNAL_VERSION:
+                raise JournalError(
+                    f"journal version {record.get('version')} != "
+                    f"{JOURNAL_VERSION}"
+                )
+            metadata = {
+                k: v for k, v in record.items()
+                if k not in ("kind", "version")
+            }
+        elif kind == "trial" and metadata is not None:
+            index = record.get("index")
+            payload = {k: v for k, v in record.items() if k in fields}
+            if isinstance(index, int) and "outcome" in payload:
+                completed[index] = TrialResult(**payload)
     if metadata is None:
-        if torn_before_header:
+        if torn:
             raise JournalError(
                 f"{path} has no valid campaign header: its header line "
                 "is torn or corrupt (crash mid-write?); the journal "

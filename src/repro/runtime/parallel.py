@@ -1,58 +1,75 @@
-"""Process-parallel execution of SFI campaigns, hardened against the
-failures a long campaign actually meets.
+"""The one process executor: supervised, work-stealing, crash-contained.
 
-SFI campaigns are embarrassingly parallel Monte-Carlo experiments:
-every trial is an independent re-execution of the same module with a
-pre-derived fault plan.  Because :func:`repro.runtime.sfi.plan_trial`
-keys each trial's randomness off ``(seed, trial_index)`` rather than a
-shared sequential RNG, trials can be partitioned across worker
-processes in any chunking whatsoever and still reproduce the serial
-campaign bit for bit — the merge below only has to reorder results by
-trial index.
+SFI trials and fuzz programs are embarrassingly parallel: each unit of
+work is a pure function of its index (:func:`repro.runtime.sfi.plan_trial`
+keys a trial's randomness off ``(seed, trial_index)``, a fuzz program off
+``(seed, program_index)``), so units can be spread over worker processes
+in any batching whatsoever and still reproduce the serial run bit for
+bit.  Only the order in which results arrive changes, and
+:class:`repro.runtime.journal.InOrderJournal` puts it back on disk.
 
-Each worker is initialised once per process: it unpickles the module
-payload, replays the golden run locally (cheaper and simpler than
-shipping interpreter state), and then serves trial chunks until the
-pool drains.
+:class:`Executor` is the engine behind ``run_campaign(jobs > 1)`` (and
+so ``inject``, incremental campaigns and the experiment harness),
+``run_fuzz_campaign(jobs > 1)`` and the campaign server's
+:class:`repro.service.CampaignTask`:
 
-Resilience (the campaign must outlive its own infrastructure):
+* each worker process runs ``init(payload)`` once — for SFI that
+  unpickles the module and replays the golden run locally — and then
+  pulls batches as it drains them (**work stealing**: a straggler delays
+  only its own batch, never an idle peer);
+* every result streams back over the worker's pipe the moment it is
+  done, and doubles as the worker's **heartbeat**; a unit delivered
+  twice (a retried batch) counts once, first delivery wins;
+* a **watchdog** kills workers whose heartbeat lapses; a worker that
+  dies (SIGKILL, OOM, segfault, the watchdog) has its batch re-queued
+  with bounded exponential backoff and its slot restarted.  A batch
+  that fails ``max_retries`` times — or every open batch, once the
+  restart budget is spent and no worker is left — **quarantines**:
+  ``lost(index)`` stands in for each of its unfinished units, so the
+  campaign completes degraded but honest instead of hanging.
 
-* **per-trial wall-clock timeouts** — enforced *inside* the worker via
-  ``SIGALRM`` (see :func:`repro.runtime.sfi.call_with_timeout`), so a
-  stuck trial yields an ``infra_error`` verdict without poisoning its
-  chunk or its worker;
-* **worker-crash containment** — a worker dying (OOM kill, segfault,
-  deliberate ``SIGKILL``) breaks the whole ``ProcessPoolExecutor``;
-  instead of propagating, the engine re-plans the unfinished trials
-  and retries them on a fresh pool, up to ``max_pool_retries`` times,
-  after which the survivors are marked ``infra_error`` — determinism
-  is unaffected because retried chunks re-derive exactly the same
-  plans;
-* **result streaming** — every merged ``(index, result)`` pair is
-  forwarded to ``on_result`` as it arrives, which is how the campaign
-  journal (:mod:`repro.runtime.journal`) sees trials the moment they
-  complete rather than at campaign end.
+The loop is synchronous: it waits on the worker pipes with
+:func:`multiprocessing.connection.wait`, so the CLI, a fuzz worker
+(whose ``campaign`` oracle nests a second executor) and the server
+(through ``asyncio.to_thread``) all run the same code.  Per-trial
+wall-clock timeouts stay inside the worker
+(:func:`repro.runtime.sfi.call_with_timeout`).
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import signal
+import threading
+import time
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.ir.module import Module
 from repro.runtime.config import CampaignConfig
-from repro.runtime.sfi import (
-    CampaignInterrupted,
-    FaultPlan,
-    ProgressHook,
-    TrialResult,
-    infra_error_trial,
+from repro.runtime.health import (
+    BATCH_DONE,
+    BATCH_PENDING,
+    BATCH_QUARANTINED,
+    BATCH_RUNNING,
+    WORKER_BUSY,
+    WORKER_DEAD,
+    WORKER_IDLE,
+    WORKER_STARTING,
+    BatchState,
+    ExponentialBackoff,
+    HealthMonitor,
+    default_batch_size,
+    shard_batches,
 )
+from repro.runtime.sfi import FaultPlan, TrialResult, infra_error_trial
+
+#: Worker restarts an executor allows per worker slot before it stops
+#: replacing dead workers (and quarantines what is left).
+RESTARTS_PER_WORKER = 4
 
 
 class ParallelUnavailable(RuntimeError):
@@ -60,74 +77,37 @@ class ParallelUnavailable(RuntimeError):
     externals that don't pickle); callers fall back to the serial path."""
 
 
-#: Per-process campaign state installed by :func:`_init_worker`.
-_WORKER: dict = {}
-
-
-def _init_worker(payload: bytes) -> None:
+def _init_worker(payload: bytes) -> Dict[str, Any]:
+    """SFI worker state: the campaign, a pristine memory image every
+    trial clones, and the worker's own golden run."""
     from repro.runtime.memory import MachineMemory
     from repro.runtime.sfi import golden_run
 
     state = pickle.loads(payload)
-    # Materialize the module's globals exactly once per worker; every
-    # trial in every chunk clones this image instead of rebuilding it.
     state["memory_image"] = MachineMemory.pristine(state["module"])
     state["golden"] = golden_run(
         state["module"], state["config"], externals=state["externals"],
         memory_image=state["memory_image"],
     )
-    _WORKER.clear()
-    _WORKER.update(state)
+    return state
 
 
-def run_worker_plan(plan: FaultPlan) -> TrialResult:
-    """Execute one pre-derived plan from the installed worker state.
-
-    The single unit of worker-side work, shared by the chunk runner
-    below and the campaign service's batch workers
-    (:mod:`repro.service.dispatch`) — both install state with
-    :func:`_init_worker` and then replay plans through here, which is
-    why a served campaign is bit-identical to a pooled one.
-    """
+def run_worker_plan(state: Dict[str, Any], plan: FaultPlan) -> TrialResult:
+    """Execute one pre-derived plan against :func:`_init_worker`'s
+    state — the unit of SFI work for pooled and served campaigns alike,
+    which is why a served campaign is bit-identical to a pooled one."""
     from repro.runtime.sfi import run_planned_trial
 
-    state = _WORKER
     return run_planned_trial(
         state["module"], state["golden"], plan, state["config"],
         externals=state["externals"], memory_image=state["memory_image"],
     )
 
 
-def _run_chunk(plans: Sequence[FaultPlan]) -> Tuple[int, List[Tuple[int, TrialResult]]]:
-    return os.getpid(), [
-        (plan.trial_index, run_worker_plan(plan)) for plan in plans
-    ]
-
-
-def default_chunk_size(trials: int, jobs: int) -> int:
-    """Roughly four chunks per worker: large enough to amortise task
-    dispatch, small enough to keep the pool load-balanced."""
-    return max(1, math.ceil(trials / (jobs * 4)))
-
-
-def _chunked(plans: Sequence[FaultPlan], size: int) -> List[List[FaultPlan]]:
-    return [list(plans[i:i + size]) for i in range(0, len(plans), size)]
-
-
-def _pool_context():
-    # fork shares the parent's imports and is dramatically cheaper to
-    # start; fall back to the platform default (spawn) elsewhere.
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 def worker_payload(module: Module, config: CampaignConfig,
                    externals=None) -> bytes:
     """Pickle the per-worker campaign state for :func:`_init_worker`.
 
-    Shared between the pool engine below and the campaign service, so
-    a worker initialised by either executes trials identically.
     Raises :class:`ParallelUnavailable` when the campaign cannot cross
     a process boundary.
     """
@@ -139,118 +119,364 @@ def worker_payload(module: Module, config: CampaignConfig,
         raise ParallelUnavailable(str(exc)) from exc
 
 
-def run_parallel_campaign(
-    module: Module,
-    plans: Sequence[FaultPlan],
-    config: CampaignConfig,
-    *,
-    externals=None,
-    jobs: int = 2,
-    chunk_size: Optional[int] = None,
-    progress: Optional[ProgressHook] = None,
-    max_pool_retries: int = 2,
-    on_result: Optional[Callable[[int, TrialResult], None]] = None,
-    done_offset: int = 0,
-    total: Optional[int] = None,
-) -> Tuple[List[TrialResult], Dict[str, int], int]:
-    """Fan ``plans`` out over ``jobs`` worker processes.
+def _context():
+    # fork shares the parent's imports and is dramatically cheaper to
+    # start; fall back to the platform default (spawn) elsewhere.
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
-    Every worker runs its trials under ``config``.  Returns
-    ``(results, worker_trials, pool_restarts)``: the trial results in
-    ``plans`` order, a per-worker trial tally (keyed ``worker-0`` …
-    ``worker-n``, ordered by pid), and the number of worker pools
-    rebuilt after a crash.  ``done_offset``/``total`` calibrate the
-    ``progress`` callback when this call covers only the un-journaled
-    tail of a resumed campaign.  Raises :class:`ParallelUnavailable`
-    when the campaign payload cannot be pickled across the process
-    boundary.
-    """
-    payload = worker_payload(module, config, externals)
 
-    size = chunk_size if chunk_size and chunk_size > 0 else default_chunk_size(
-        len(plans), jobs
-    )
-    report_total = total if total is not None else len(plans)
-    by_index: Dict[int, TrialResult] = {}
-    pid_counts: Dict[int, int] = {}
-    pool_restarts = 0
+# Pipe creation, fork and closing the child's end happen under one lock,
+# so no worker (of any executor in this process) inherits another's
+# child end: a worker's death is then always an EOF on its pipe, and
+# orphaned workers see EOF once the parent is gone.  A forked child
+# starts with a fresh lock.
+_START_LOCK = threading.Lock()
 
-    def merge(pid: int, chunk_results: List[Tuple[int, TrialResult]]) -> None:
-        fresh = 0
-        for index, trial in chunk_results:
-            if index not in by_index:
-                fresh += 1
-                if on_result is not None:
-                    on_result(index, trial)
-            by_index[index] = trial
-        pid_counts[pid] = pid_counts.get(pid, 0) + len(chunk_results)
-        if progress is not None and fresh:
-            progress(done_offset + len(by_index), report_total)
 
-    remaining = list(plans)
-    for attempt in range(max_pool_retries + 1):
-        chunks = _chunked(remaining, size)
-        if not chunks:
-            break
-        workers = max(1, min(jobs, len(chunks)))
+def _reset_start_lock() -> None:
+    global _START_LOCK
+    _START_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_start_lock)
+
+
+# -- worker protocol --------------------------------------------------
+#
+# Parent -> child: ``(batch_id, [(index, unit), ...])`` or ``None``
+#                  (stop).
+# Child -> parent: ``("ready",)`` once initialised,
+#                  ``("result", index, result)`` per unit (the
+#                  heartbeat), ``("batch_done", batch_id)`` per batch,
+#                  ``("init_error", detail)`` on setup failure.
+
+
+def _worker_main(init, payload, run, conn, inherited) -> None:
+    """Child-process entry: initialise once, then serve batches until
+    told to stop or the parent's end of the pipe closes."""
+    # The parent owns SIGINT policy: a Ctrl-C must reach the executor,
+    # not tear workers out from under it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for other in inherited:
+        other.close()  # parent ends of this and earlier workers' pipes
+    try:
+        state = init(payload) if init is not None else payload
+    except BaseException as exc:  # noqa: BLE001 — report, then die
         try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=_pool_context(),
-                initializer=_init_worker,
-                initargs=(payload,),
-            ) as pool:
-                pending = {pool.submit(_run_chunk, chunk) for chunk in chunks}
-                try:
-                    while pending:
-                        done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            pid, chunk_results = future.result()
-                            merge(pid, chunk_results)
-                except KeyboardInterrupt:
-                    # Graceful SIGINT: drop the queue, put the workers
-                    # down hard (their in-flight chunks are re-derivable
-                    # on resume), and surface everything already merged
-                    # — the journal has it on disk via ``on_result``.
-                    for future in pending:
-                        future.cancel()
-                    for proc in getattr(pool, "_processes", {}).values():
-                        try:
-                            proc.terminate()
-                        except (OSError, AttributeError):
-                            pass
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise CampaignInterrupted(
-                        dict(by_index), report_total
-                    ) from None
-        except BrokenProcessPool:
-            # A worker died mid-campaign (OOM kill, segfault, ...).
-            # Everything already merged stays; the unfinished trials are
-            # re-planned onto a fresh pool.  Chunks are pure functions
-            # of their plans, so a retry cannot diverge from the serial
-            # result — it can only finish it.
-            pool_restarts += 1
-            remaining = [p for p in remaining if p.trial_index not in by_index]
-            continue
-        remaining = [p for p in remaining if p.trial_index not in by_index]
-        if not remaining:
-            break
-    # Pool retries exhausted (or trials silently lost): the survivors
-    # get an explicit infra_error verdict instead of poisoning the
-    # campaign with an exception after hours of completed work.
-    for plan in remaining:
-        trial = infra_error_trial()
-        by_index[plan.trial_index] = trial
-        if on_result is not None:
-            on_result(plan.trial_index, trial)
-    if progress is not None and remaining:
-        progress(done_offset + len(by_index), report_total)
-    worker_trials = {
-        f"worker-{slot}": count
-        for slot, (_pid, count) in enumerate(sorted(pid_counts.items()))
-    }
-    return (
-        [by_index[plan.trial_index] for plan in plans],
-        worker_trials,
-        pool_restarts,
+            conn.send(("init_error", repr(exc)))
+        except OSError:
+            pass
+        return
+    try:
+        conn.send(("ready",))
+        while True:
+            message = conn.recv()
+            if message is None:
+                return
+            batch_id, units = message
+            for index, unit in units:
+                conn.send(("result", index, run(state, unit)))
+            conn.send(("batch_done", batch_id))
+    except (EOFError, OSError):
+        return  # parent went away; nothing to clean up
+
+
+@dataclasses.dataclass
+class _Handle:
+    process: multiprocessing.process.BaseProcess
+    conn: Any  # multiprocessing.connection.Connection
+
+
+class Executor:
+    """Run ``run(init(payload), unit)`` for every ``units[index]`` on a
+    supervised pool of ``workers`` processes.
+
+    ``on_result(index, result)`` is called in the calling thread, once
+    per index, in completion order.  ``batches`` (default: ``units``
+    sharded ``batch_size`` at a time, eight batches per worker) and
+    ``monitor`` may be shared with an observer, which is how the
+    campaign server reports batch states and worker health.
+    ``chaos_kill_after`` SIGKILLs the worker that delivered that many
+    results, once — the crash path must converge to the same results.
+    :meth:`stop` (from any thread) ends :meth:`run` early.
+    """
+
+    def __init__(
+        self,
+        run: Callable[[Any, Any], Any],
+        units: Dict[int, Any],
+        *,
+        lost: Callable[[int], Any],
+        init: Optional[Callable[[Any], Any]] = None,
+        payload: Any = None,
+        workers: int = 2,
+        batches: Optional[List[BatchState]] = None,
+        batch_size: Optional[int] = None,
+        monitor: Optional[HealthMonitor] = None,
+        max_retries: int = 3,
+        backoff: Optional[ExponentialBackoff] = None,
+        poll_interval: float = 0.05,
+        max_worker_restarts: Optional[int] = None,
+        chaos_kill_after: Optional[int] = None,
+        on_result: Optional[Callable[[int, Any], None]] = None,
+    ) -> None:
+        self.units = units
+        if batches is None:
+            batches = shard_batches(
+                list(units),
+                batch_size or default_batch_size(len(units), workers),
+            )
+        self.batches = batches
+        self.workers = max(1, min(workers, len(batches)))
+        self.monitor = monitor or HealthMonitor()
+        self.max_retries = max_retries
+        self.backoff = backoff or ExponentialBackoff()
+        self.poll_interval = poll_interval
+        self.max_worker_restarts = (
+            max_worker_restarts if max_worker_restarts is not None
+            else self.workers * RESTARTS_PER_WORKER
+        )
+        self.results: Dict[int, Any] = {}
+        self.worker_restarts = 0
+        self.quarantined_batches = 0
+        self._run, self._init, self._payload = run, init, payload
+        self._lost = lost
+        self._on_result = on_result
+        self._chaos_kill_after = chaos_kill_after
+        self._handles: Dict[int, _Handle] = {}
+        self._stopped = False
+
+    @property
+    def worker_trials(self) -> Dict[str, int]:
+        """Units each worker slot delivered, keyed ``worker-<slot>``."""
+        return {
+            f"worker-{slot}": health.trials_done
+            for slot, health in sorted(self.monitor.workers.items())
+        }
+
+    def stop(self) -> None:
+        self._stopped = True
+
+    def run(self) -> Dict[int, Any]:
+        """Execute every unit (or until :meth:`stop`); returns the
+        results by index.  Workers are torn down however it ends."""
+        try:
+            for slot in range(self.workers):
+                self._start(slot)
+            while not self._stopped and len(self.results) < len(self.units):
+                self._assign_batches()
+                conns = {h.conn: slot for slot, h in self._handles.items()}
+                for conn in multiprocessing.connection.wait(
+                        list(conns), timeout=self.poll_interval):
+                    self._receive(conns[conn])
+                self._check_watchdog()
+        finally:
+            self._teardown()
+        return self.results
+
+    # -- workers ------------------------------------------------------
+
+    def _start(self, slot: int) -> None:
+        context = _context()
+        with _START_LOCK:
+            parent_conn, child_conn = context.Pipe(duplex=True)
+            inherited = [parent_conn]
+            inherited += [h.conn for h in self._handles.values()]
+            process = context.Process(
+                target=_worker_main,
+                args=(self._init, self._payload, self._run, child_conn,
+                      inherited),
+                name=f"repro-worker-{slot}",
+            )
+            process.start()
+            child_conn.close()
+        self._handles[slot] = _Handle(process, parent_conn)
+        self.monitor.track(slot, process.pid)
+
+    def _receive(self, slot: int) -> None:
+        """Handle one message from a worker whose pipe is readable; EOF
+        means it died."""
+        try:
+            message = self._handles[slot].conn.recv()
+        except (EOFError, OSError):
+            self._handle_worker_death(slot)
+        else:
+            self._handle_message(slot, message)
+
+    def _handle_message(self, slot: int, message: tuple) -> None:
+        tag = message[0]
+        health = self.monitor.workers[slot]
+        self.monitor.beat(slot)
+        if tag == "ready":
+            health.state = WORKER_IDLE
+        elif tag == "result":
+            health.trials_done += 1
+            self._deliver(message[1], message[2])
+            if (self._chaos_kill_after is not None
+                    and len(self.results) >= self._chaos_kill_after):
+                self._chaos_kill_after = None
+                self._handles[slot].process.kill()
+        elif tag == "batch_done":
+            batch = self.batches[message[1]]
+            if batch.status == BATCH_RUNNING and batch.worker == slot:
+                batch.status = BATCH_DONE
+                batch.worker = None
+            health.state = WORKER_IDLE
+            health.batches_done += 1
+            health.current_batch = None
+        elif tag == "init_error":
+            self._handle_worker_death(slot)
+
+    def _deliver(self, index: int, result: Any) -> None:
+        if index in self.results:
+            return  # re-delivered by a retried batch: first wins
+        self.results[index] = result
+        if self._on_result is not None:
+            self._on_result(index, result)
+
+    def _handle_worker_death(self, slot: int) -> None:
+        handle = self._handles.pop(slot)
+        handle.conn.close()
+        handle.process.kill()
+        handle.process.join(1.0)
+        health = self.monitor.workers[slot]
+        health.state = WORKER_DEAD
+        if health.current_batch is not None:
+            self._requeue_batch(self.batches[health.current_batch])
+            health.current_batch = None
+        if self._stopped or not any(
+                b.status in (BATCH_PENDING, BATCH_RUNNING)
+                for b in self.batches):
+            return
+        if self.worker_restarts < self.max_worker_restarts:
+            self.worker_restarts += 1
+            health.restarts += 1
+            self._start(slot)
+        elif not self._handles:
+            # Last resort: no workers and no restart budget left —
+            # quarantine everything still open, so the campaign
+            # completes with an honest tail instead of hanging.
+            for batch in self.batches:
+                if batch.status in (BATCH_PENDING, BATCH_RUNNING):
+                    self._quarantine(batch)
+
+    def _requeue_batch(self, batch: BatchState) -> None:
+        if batch.status != BATCH_RUNNING:
+            return
+        batch.worker = None
+        batch.attempts += 1
+        if batch.attempts > self.max_retries:
+            self._quarantine(batch)
+            return
+        batch.status = BATCH_PENDING
+        batch.not_before = (
+            time.monotonic() + self.backoff.delay(batch.attempts)
+        )
+
+    def _quarantine(self, batch: BatchState) -> None:
+        batch.status = BATCH_QUARANTINED
+        batch.worker = None
+        self.quarantined_batches += 1
+        for index in batch.indices:
+            if index not in self.results:
+                self._deliver(index, self._lost(index))
+
+    def _assign_batches(self) -> None:
+        now = time.monotonic()
+        idle = [
+            slot for slot, health in sorted(self.monitor.workers.items())
+            if health.state == WORKER_IDLE and slot in self._handles
+        ]
+        for batch in self.batches:
+            if not idle:
+                return
+            if batch.status != BATCH_PENDING or batch.not_before > now:
+                continue
+            slot = batch.assigned_slot
+            if slot is None:
+                slot = idle.pop(0)
+            elif slot in idle:
+                # Static sharding: only the pinned slot may take it...
+                idle.remove(slot)
+            elif (slot in self._handles
+                  or self.worker_restarts < self.max_worker_restarts):
+                continue
+            else:
+                # ...unless that slot is gone for good.
+                slot = idle.pop(0)
+            self._send_batch(slot, batch)
+
+    def _send_batch(self, slot: int, batch: BatchState) -> None:
+        # A retried batch re-sends only what its dead worker left.
+        units = [(i, self.units[i]) for i in batch.indices
+                 if i not in self.results]
+        if not units:
+            batch.status = BATCH_DONE
+            return
+        try:
+            self._handles[slot].conn.send((batch.batch_id, units))
+        except OSError:
+            self._handle_worker_death(slot)
+            return
+        batch.status = BATCH_RUNNING
+        batch.worker = slot
+        health = self.monitor.workers[slot]
+        health.state = WORKER_BUSY
+        health.current_batch = batch.batch_id
+        self.monitor.beat(slot)
+
+    def _check_watchdog(self) -> None:
+        for slot in self.monitor.overdue():
+            if slot in self._handles:
+                # Hung (or wedged at startup): put it down; the EOF on
+                # its pipe takes the normal death path.
+                self._handles[slot].process.kill()
+        for slot, handle in list(self._handles.items()):
+            if handle.process.is_alive():
+                continue
+            # Dead, but its pipe has not reported EOF yet (or never will,
+            # while a grandchild holds it): take what it sent, bury it.
+            while self._handles.get(slot) is handle and handle.conn.poll():
+                self._receive(slot)
+            if self._handles.get(slot) is handle:
+                self._handle_worker_death(slot)
+
+    def _teardown(self) -> None:
+        unfinished = len(self.results) < len(self.units)
+        for slot, handle in self._handles.items():
+            try:
+                handle.conn.send(None)
+            except OSError:
+                pass
+            state = self.monitor.workers[slot].state
+            if state == WORKER_STARTING or (
+                    unfinished and state == WORKER_BUSY):
+                handle.process.kill()  # its work is unneeded or re-derivable
+        for handle in self._handles.values():
+            handle.process.join(2.0)
+            if handle.process.is_alive():
+                handle.process.kill()
+                handle.process.join(1.0)
+            handle.conn.close()
+        self._handles.clear()
+        for health in self.monitor.workers.values():
+            health.state = WORKER_DEAD
+
+
+def sfi_executor(module: Module, plans: Sequence[FaultPlan],
+                 config: CampaignConfig, *, externals=None,
+                 **options) -> Executor:
+    """The executor for SFI ``plans``: workers replay the golden run
+    once, then execute plans; a plan whose batch quarantines records
+    ``infra_error``.  ``options`` are :class:`Executor`'s.  Raises
+    :class:`ParallelUnavailable` when the campaign does not pickle."""
+    return Executor(
+        run_worker_plan,
+        {plan.trial_index: plan for plan in plans},
+        init=_init_worker,
+        payload=worker_payload(module, config, externals),
+        lost=lambda _index: infra_error_trial(),
+        **options,
     )

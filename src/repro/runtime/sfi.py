@@ -348,7 +348,8 @@ class TrialResult:
 
 def infra_error_trial() -> TrialResult:
     """The placeholder verdict for a trial the engine could not finish
-    (worker crash after all pool retries, or wall-clock timeout)."""
+    (its batch quarantined after repeated worker crashes, or a wall-clock
+    timeout)."""
     return TrialResult(
         outcome="infra_error", fault_event=-1, detect_latency=None,
         recovery_attempts=0,
@@ -385,7 +386,7 @@ class CampaignResult:
     they are reporting metadata only — the trial list itself is a pure
     function of the module and its :class:`CampaignConfig` regardless
     of parallelism.
-    ``pool_restarts`` counts worker pools rebuilt after a crash; any
+    ``pool_restarts`` counts workers restarted after a crash; any
     non-zero value (or any ``infra_error`` trial) marks a campaign that
     needed the resilience machinery.
     """
@@ -918,7 +919,6 @@ def run_campaign(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
-    max_pool_retries: int = 2,
     completed: Optional[Dict[int, TrialResult]] = None,
     on_result: Optional[Callable[[int, TrialResult], None]] = None,
     **knobs,
@@ -936,17 +936,18 @@ def run_campaign(
     (:func:`plan_trial`), so ``jobs > 1`` fans trials out across worker
     processes (see :mod:`repro.runtime.parallel`) and returns the exact
     ``TrialResult`` sequence of the serial path — merged back in trial
-    order — by construction.  ``chunk_size`` tunes how many trials each
-    worker task claims; ``progress`` is called as ``progress(done,
+    order — by construction.  ``chunk_size`` sets how many trials each
+    dispatched batch holds; ``progress`` is called as ``progress(done,
     total)`` whenever completed-trial counts advance.  Workloads whose
     ``externals`` cannot cross a process boundary fall back to the
     serial path silently.
 
-    Resilience: ``max_pool_retries`` bounds worker-pool rebuilds after
-    a crash (surviving trials then classify ``infra_error``),
+    Resilience: crashed workers are restarted and their trials retried
+    (trials that keep killing workers classify ``infra_error``),
     ``completed`` seeds the campaign with journaled results to skip
     (resume), and ``on_result`` streams each newly-executed ``(index,
-    result)`` pair — the campaign journal's append hook — in completion
+    result)`` pair — the campaign journal's append hook, usually an
+    :class:`~repro.runtime.journal.InOrderJournal` — in completion
     order.
 
     The engine does not enter the journal header: both engines are
@@ -970,8 +971,7 @@ def run_campaign(
         executed = run_plans(
             module, golden, todo, config, externals=externals,
             memory_image=memory_image, jobs=jobs, chunk_size=chunk_size,
-            progress=progress, max_pool_retries=max_pool_retries,
-            on_result=on_result, done_offset=len(completed),
+            progress=progress, on_result=on_result, done_offset=len(completed),
             total=config.trials,
         )
     except CampaignInterrupted as exc:
@@ -1002,7 +1002,6 @@ def run_plans(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
-    max_pool_retries: int = 2,
     on_result: Optional[Callable[[int, TrialResult], None]] = None,
     done_offset: int = 0,
     total: Optional[int] = None,
@@ -1011,9 +1010,9 @@ def run_plans(
     order.
 
     The one plan executor behind :func:`run_campaign` and incremental
-    campaigns.  With ``jobs > 1`` the plans fan out over worker
-    processes (:mod:`repro.runtime.parallel`), falling back to this
-    process when the campaign cannot cross a process boundary.
+    campaigns.  With ``jobs > 1`` the plans fan out over the supervised
+    worker pool (:class:`repro.runtime.parallel.Executor`), falling back
+    to this process when the campaign cannot cross a process boundary.
     ``on_result`` streams each ``(trial_index, result)`` as it
     completes, ``progress`` is called as ``progress(done_offset + done,
     total)``, and Ctrl-C raises :class:`CampaignInterrupted` carrying
@@ -1021,41 +1020,46 @@ def run_plans(
     """
     total = done_offset + len(plans) if total is None else total
     start = time.monotonic()
+    finished: Dict[int, TrialResult] = {}
+
+    def deliver(index: int, trial: TrialResult) -> None:
+        # A trial counts as finished once the journal hook has it.
+        if on_result is not None:
+            on_result(index, trial)
+        finished[index] = trial
+        if progress is not None:
+            progress(done_offset + len(finished), total)
+
+    pool = None
     if jobs > 1 and len(plans) > 1:
-        from repro.runtime.parallel import ParallelUnavailable, run_parallel_campaign
+        from repro.runtime.parallel import ParallelUnavailable, sfi_executor
 
         try:
-            results, worker_trials, pool_restarts = run_parallel_campaign(
-                module, plans, config, externals=externals, jobs=jobs,
-                chunk_size=chunk_size, progress=progress,
-                max_pool_retries=max_pool_retries, on_result=on_result,
-                done_offset=done_offset, total=total,
+            pool = sfi_executor(
+                module, plans, config, externals=externals, workers=jobs,
+                batch_size=chunk_size, on_result=deliver,
             )
         except ParallelUnavailable:
             pass
-        else:
-            return CampaignResult(
-                results, elapsed=time.monotonic() - start, jobs=jobs,
-                worker_trials=worker_trials, pool_restarts=pool_restarts,
-            )
-    finished: Dict[int, TrialResult] = {}
     try:
-        for plan in plans:
-            trial = run_planned_trial(
-                module, golden, plan, config,
-                externals=externals, memory_image=memory_image,
-            )
-            if on_result is not None:
-                on_result(plan.trial_index, trial)
-            finished[plan.trial_index] = trial
-            if progress is not None:
-                progress(done_offset + len(finished), total)
+        if pool is not None:
+            pool.run()
+        else:
+            for plan in plans:
+                deliver(plan.trial_index, run_planned_trial(
+                    module, golden, plan, config,
+                    externals=externals, memory_image=memory_image,
+                ))
     except KeyboardInterrupt:
         # Graceful SIGINT: everything already finished was streamed to
         # ``on_result`` (so a journal has it on disk); hand the partial
         # results up instead of an unhandled traceback.
         raise CampaignInterrupted(finished, total) from None
+    trials = [finished[plan.trial_index] for plan in plans]
+    if pool is None:
+        return CampaignResult(trials, elapsed=time.monotonic() - start,
+                              worker_trials={"worker-0": len(trials)})
     return CampaignResult(
-        list(finished.values()), elapsed=time.monotonic() - start,
-        worker_trials={"worker-0": len(finished)},
+        trials, elapsed=time.monotonic() - start, jobs=jobs,
+        worker_trials=pool.worker_trials, pool_restarts=pool.worker_restarts,
     )

@@ -25,7 +25,7 @@ from repro.service.dispatch import (
     STARTING,
     TERMINAL_STATES,
 )
-from repro.service.health import (
+from repro.runtime.health import (
     BatchState,
     ExponentialBackoff,
     HealthMonitor,

@@ -158,11 +158,21 @@ class ServiceClient:
                     response.read().decode("utf-8", "replace"),
                     status=response.status,
                 )
+            # read1 returns what has arrived instead of waiting for a
+            # full buffer, so each line reaches the caller as soon as
+            # the server streams it.
+            partial = b""
             while True:
-                chunk = response.read(65536)
+                chunk = response.read1(65536)
                 if not chunk:
+                    if partial:
+                        yield partial
                     return
-                yield chunk
+                partial += chunk
+                cut = partial.rfind(b"\n") + 1
+                if cut:
+                    yield partial[:cut]
+                    partial = partial[cut:]
         finally:
             connection.close()
 

@@ -1,29 +1,21 @@
-"""Sharded, supervised campaign execution for ``repro serve``.
+"""Supervised campaign execution for ``repro serve``.
 
 One :class:`CampaignTask` drives one submitted campaign end to end:
 
 * the module is parsed and its golden run replayed off the event loop
   (``asyncio.to_thread``), the trial range planned with the same
-  seed-keyed substreams as every other campaign engine, and sharded
-  into batches (:func:`repro.service.health.shard_batches`);
-* a pool of supervised worker *processes* — initialised with the exact
-  payload :func:`repro.runtime.parallel.worker_payload` builds for the
-  CLI's process pool — pulls batches as it drains them
-  (**work-stealing**: a straggler delays only its own batch, never an
-  idle peer), executing each plan through
-  :func:`repro.runtime.parallel.run_worker_plan`;
-* every finished trial streams back over the worker's pipe, which
-  doubles as its **heartbeat**; results feed the live aggregates and an
-  in-order hold-back journal
-  (:class:`repro.runtime.journal.InOrderJournal`) whose bytes are
-  identical to the journal of a one-shot serial ``inject`` run — the
-  invariant ``tests/test_service.py`` and the CI smoke job enforce;
-* a watchdog kills workers whose heartbeat lapses, an ``add_reader``
-  EOF catches workers that died outright (SIGKILL, OOM, segfault); in
-  both cases the in-flight batch re-queues with bounded exponential
-  backoff and the slot restarts.  A batch that fails ``max_retries``
-  times quarantines — its unfinished trials record ``infra_error`` and
-  the campaign *completes*, degraded but honest, instead of hanging.
+  seed-keyed substreams as every other campaign, and sharded into
+  batches (:func:`repro.runtime.health.shard_batches`);
+* the batches run on the one supervised executor
+  (:class:`repro.runtime.parallel.Executor`, the same engine as
+  ``inject --jobs``), called through ``asyncio.to_thread``: work
+  stealing, per-trial heartbeats, the hang watchdog, retry with backoff
+  and quarantine all live there;
+* every finished trial feeds the live aggregates and an in-order
+  hold-back journal (:class:`repro.runtime.journal.InOrderJournal`)
+  whose bytes are identical to the journal of a one-shot serial
+  ``inject`` run — the invariant ``tests/test_service.py`` and the CI
+  smoke job enforce.
 
 Determinism: trials are pure functions of ``(seed, trial_index)``, so
 retries, stealing, and restarts can reorder work but never change it —
@@ -35,42 +27,32 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import multiprocessing
 import os
-import signal
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ir import parse_module, verify_module
 from repro.runtime.config import CampaignConfig, ConfigError
+from repro.runtime.health import (
+    BatchState,
+    ExponentialBackoff,
+    HealthMonitor,
+    default_batch_size,
+    shard_batches,
+)
 from repro.runtime.journal import (
     CampaignJournal,
     InOrderJournal,
     campaign_metadata,
 )
 from repro.runtime.memory import MachineMemory
-from repro.runtime.parallel import _pool_context, worker_payload
+from repro.runtime.parallel import Executor, sfi_executor
 from repro.runtime.sfi import (
+    COVERED_OUTCOMES,
     OUTCOMES,
     CampaignResult,
-    FaultPlan,
     TrialResult,
     golden_run,
-    infra_error_trial,
-)
-from repro.service.health import (
-    BATCH_DONE,
-    BATCH_PENDING,
-    BATCH_QUARANTINED,
-    BATCH_RUNNING,
-    WORKER_BUSY,
-    WORKER_DEAD,
-    WORKER_IDLE,
-    BatchState,
-    ExponentialBackoff,
-    HealthMonitor,
-    default_batch_size,
-    shard_batches,
 )
 
 #: Campaign lifecycle states (terminal: completed/failed/cancelled/
@@ -117,62 +99,13 @@ class CampaignSpec(CampaignConfig):
         super().__post_init__()
 
 
-# -- worker protocol --------------------------------------------------
-#
-# Parent -> child: ``(batch_id, [FaultPlan, ...])`` or ``None`` (stop).
-# Child -> parent: ``("ready", pid)`` once initialised,
-#                  ``("trial", batch_id, index, result_dict)`` per trial
-#                  (the heartbeat), ``("batch_done", batch_id)`` per
-#                  batch, ``("init_error", pid, detail)`` on setup
-#                  failure.
-
-
-def _service_worker_main(payload: bytes, conn) -> None:
-    """Child-process entry: install campaign state, serve batches."""
-    from repro.runtime.parallel import _init_worker, run_worker_plan
-
-    # The parent owns SIGINT/SIGTERM policy; a Ctrl-C against the
-    # server must not tear workers out from under the dispatcher.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        _init_worker(payload)
-    except BaseException as exc:  # noqa: BLE001 — report, then die
-        try:
-            conn.send(("init_error", os.getpid(), repr(exc)))
-        except (OSError, BrokenPipeError):
-            pass
-        return
-    try:
-        conn.send(("ready", os.getpid()))
-        while True:
-            message = conn.recv()
-            if message is None:
-                return
-            batch_id, plans = message
-            for plan in plans:
-                result = run_worker_plan(plan)
-                conn.send(
-                    ("trial", batch_id, plan.trial_index,
-                     dataclasses.asdict(result))
-                )
-            conn.send(("batch_done", batch_id))
-    except (EOFError, OSError, BrokenPipeError):
-        return  # parent went away; nothing to clean up
-
-
-@dataclasses.dataclass
-class _WorkerHandle:
-    slot: int
-    process: multiprocessing.process.BaseProcess
-    conn: Any  # multiprocessing.connection.Connection
-    reader_installed: bool = False
-
-
 class CampaignTask:
-    """One submitted campaign: state machine + dispatcher.
+    """One submitted campaign: state machine around the executor.
 
     ``run()`` is the whole lifecycle; everything else is observation
-    (``status()``) or control (``cancel()``, ``drain()``).
+    (``status()``) or control (``cancel()``, ``drain()``).  Observation
+    runs on the event loop while the executor's thread records trials,
+    so it reads only counters and dict snapshots.
     """
 
     kind = "sfi"
@@ -196,16 +129,14 @@ class CampaignTask:
         self.spec = spec
         self.journal_path = journal_path
         self.workers = max(1, workers)
-        self.max_retries = max_retries
-        self.backoff = backoff or ExponentialBackoff()
-        self.poll_interval = poll_interval
         self.static_sharding = static_sharding
-        self.max_worker_restarts = (
-            max_worker_restarts if max_worker_restarts is not None
-            else self.workers * 4
-        )
-        self.chaos_kill_after = chaos_kill_after
         self._preset_batches = batches
+        self._options = dict(
+            max_retries=max_retries, backoff=backoff,
+            poll_interval=poll_interval,
+            max_worker_restarts=max_worker_restarts,
+            chaos_kill_after=chaos_kill_after,
+        )
 
         self.state = QUEUED
         self.error: Optional[str] = None
@@ -216,21 +147,12 @@ class CampaignTask:
         self.results: Dict[int, TrialResult] = {}
         self.outcome_counts: Dict[str, int] = {o: 0 for o in OUTCOMES}
         self.batches: List[BatchState] = []
-        self.quarantined_batches = 0
-        self.worker_restarts = 0
         self.done_event = asyncio.Event()
         self.result: Optional[CampaignResult] = None
 
-        self._handles: Dict[int, _WorkerHandle] = {}
-        self._events: "asyncio.Queue[Tuple]" = asyncio.Queue()
-        self._plans: List[FaultPlan] = []
-        self._payload: Optional[bytes] = None
+        self._executor: Optional[Executor] = None
         self._journal: Optional[InOrderJournal] = None
-        self._metadata: Optional[Dict[str, Any]] = None
         self._stop_requested: Optional[str] = None
-        self._next_slot = 0
-        self._chaos_armed = chaos_kill_after is not None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # -- observation --------------------------------------------------
 
@@ -242,20 +164,26 @@ class CampaignTask:
     def trials_done(self) -> int:
         return len(self.results)
 
+    @property
+    def worker_restarts(self) -> int:
+        return self._executor.worker_restarts if self._executor else 0
+
+    @property
+    def quarantined_batches(self) -> int:
+        return self._executor.quarantined_batches if self._executor else 0
+
     def aggregates(self) -> Dict[str, Any]:
         """Live campaign statistics (the dashboard payload)."""
         done = self.trials_done
-        counts = {o: n for o, n in self.outcome_counts.items() if n}
-        from repro.runtime.sfi import COVERED_OUTCOMES
-
-        covered = sum(self.outcome_counts[o] for o in COVERED_OUTCOMES)
+        counts = dict(self.outcome_counts)  # one atomic copy
+        covered = sum(counts.get(o, 0) for o in COVERED_OUTCOMES)
         elapsed = self._elapsed_now()
         return {
             "trials_done": done,
             "trials_total": self.trials_total,
-            "outcomes": counts,
+            "outcomes": {o: n for o, n in counts.items() if n},
             "covered_fraction": (covered / done) if done else 0.0,
-            "infra_errors": self.outcome_counts.get("infra_error", 0),
+            "infra_errors": counts.get("infra_error", 0),
             "throughput_trials_per_s": (
                 round(done / elapsed, 2) if elapsed > 0 else 0.0
             ),
@@ -299,25 +227,17 @@ class CampaignTask:
         if self.state in TERMINAL_STATES:
             return
         self._stop_requested = state
-        # Wake the dispatcher loop immediately.
-        if self._loop is not None:
-            try:
-                self._loop.call_soon_threadsafe(
-                    self._events.put_nowait, ("stop",)
-                )
-            except RuntimeError:
-                pass
+        if self._executor is not None:
+            self._executor.stop()
 
     # -- the lifecycle ------------------------------------------------
 
     async def run(self) -> None:
-        self._loop = asyncio.get_running_loop()
         try:
             await self._run()
         except Exception as exc:  # noqa: BLE001 — campaign, not server
             self.state = FAILED
             self.error = f"{type(exc).__name__}: {exc}"
-            self._teardown_workers()
             self._finalize_journal(flush_out_of_order=True)
         finally:
             if self.state not in TERMINAL_STATES:
@@ -333,8 +253,7 @@ class CampaignTask:
 
         # Parse + golden + planning are CPU work: off the event loop.
         module, golden_events = await asyncio.to_thread(self._prepare)
-        self._plans = spec.plans(golden_events)
-        self._metadata = campaign_metadata(module, config=spec)
+        plans = spec.plans(golden_events)
         # Every submission is a fresh campaign: truncate any stale
         # journal at this path (CampaignJournal appends by design, and
         # appending onto an older campaign's records would break the
@@ -343,46 +262,40 @@ class CampaignTask:
         if os.path.exists(self.journal_path):
             os.remove(self.journal_path)
         journal = CampaignJournal(self.journal_path)
-        journal.write_header(self._metadata)
+        journal.write_header(campaign_metadata(module, config=spec))
         self._journal = InOrderJournal(journal)
 
         if self._preset_batches is not None:
             self.batches = self._preset_batches
         else:
-            size = spec.batch_size or default_batch_size(
-                spec.trials, self.workers
-            )
             self.batches = shard_batches(
-                list(range(spec.trials)), size, workers=self.workers,
-                static=self.static_sharding,
+                list(range(spec.trials)),
+                spec.batch_size or default_batch_size(spec.trials,
+                                                      self.workers),
+                workers=self.workers, static=self.static_sharding,
             )
-
-        self._payload = worker_payload(module, spec)
-
-        pool_size = min(self.workers, max(1, len(self.batches)))
-        for _ in range(pool_size):
-            self._spawn_worker()
-
+        # Built and stopped on the event loop, so a cancel() racing the
+        # start cannot be lost.
+        self._executor = sfi_executor(
+            module, plans, spec, workers=self.workers, batches=self.batches,
+            monitor=self.monitor, on_result=self._record, **self._options,
+        )
+        if self._stop_requested is not None:
+            self._executor.stop()
         self.state = RUNNING
-        await self._dispatch_loop()
+        await asyncio.to_thread(self._executor.run)
 
-        requested = self._stop_requested
-        self._teardown_workers()
-        if requested is not None:
-            self.state = requested
+        if self._stop_requested is not None:
+            self.state = self._stop_requested
             self._finalize_journal(flush_out_of_order=True)
             return
         self._finalize_journal(flush_out_of_order=False)
         self.elapsed = time.monotonic() - self.started_monotonic
-        worker_trials = {
-            f"worker-{slot}": health.trials_done
-            for slot, health in sorted(self.monitor.workers.items())
-        }
         self.result = CampaignResult(
-            [self.results[i] for i in range(self.spec.trials)],
+            [self.results[i] for i in range(spec.trials)],
             elapsed=self.elapsed,
             jobs=self.workers,
-            worker_trials=worker_trials,
+            worker_trials=self._executor.worker_trials,
             pool_restarts=self.worker_restarts,
         )
         self.state = COMPLETED
@@ -394,290 +307,13 @@ class CampaignTask:
                             memory_image=MachineMemory.pristine(module))
         return module, golden.events
 
-    # -- workers ------------------------------------------------------
-
-    def _spawn_worker(self) -> int:
-        slot = self._next_slot
-        self._next_slot += 1
-        return self._start_process(slot)
-
-    def _start_process(self, slot: int) -> int:
-        context = _pool_context()
-        parent_conn, child_conn = context.Pipe(duplex=True)
-        process = context.Process(
-            target=_service_worker_main,
-            args=(self._payload, child_conn),
-            daemon=True,
-            name=f"repro-serve-{self.campaign_id}-w{slot}",
-        )
-        process.start()
-        child_conn.close()
-        handle = _WorkerHandle(slot=slot, process=process, conn=parent_conn)
-        self._handles[slot] = handle
-        self.monitor.track(slot, process.pid)
-        loop = asyncio.get_running_loop()
-        loop.add_reader(parent_conn.fileno(), self._on_readable, slot)
-        handle.reader_installed = True
-        return slot
-
-    def _remove_reader(self, handle: _WorkerHandle) -> None:
-        if handle.reader_installed and self._loop is not None:
-            try:
-                self._loop.remove_reader(handle.conn.fileno())
-            except (OSError, ValueError):
-                pass
-            handle.reader_installed = False
-
-    def _on_readable(self, slot: int) -> None:
-        """add_reader callback: drain every pending worker message."""
-        handle = self._handles.get(slot)
-        if handle is None:
-            return
-        try:
-            while handle.conn.poll():
-                message = handle.conn.recv()
-                self._events.put_nowait(("msg", slot, message))
-        except (EOFError, OSError):
-            self._remove_reader(handle)
-            self._events.put_nowait(("dead", slot))
-
-    def _kill_worker(self, slot: int) -> None:
-        # The reader stays installed: the SIGKILL closes the worker's
-        # end of the pipe, the resulting EOF fires ``_on_readable``, and
-        # the normal death path re-queues the batch.
-        handle = self._handles.get(slot)
-        if handle is None:
-            return
-        try:
-            handle.process.kill()
-        except (OSError, AttributeError):
-            pass
-
-    def _teardown_workers(self) -> None:
-        for slot, handle in list(self._handles.items()):
-            self._remove_reader(handle)
-            try:
-                handle.conn.send(None)
-            except (OSError, BrokenPipeError):
-                pass
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-        deadline = time.monotonic() + 2.0
-        for handle in self._handles.values():
-            handle.process.join(max(0.0, deadline - time.monotonic()))
-            if handle.process.is_alive():
-                try:
-                    handle.process.kill()
-                except OSError:
-                    pass
-                handle.process.join(1.0)
-        self._handles.clear()
-        for health in self.monitor.workers.values():
-            if health.state != WORKER_DEAD:
-                health.state = WORKER_DEAD
-
-    # -- the dispatch loop -------------------------------------------
-
-    async def _dispatch_loop(self) -> None:
-        while True:
-            if self._stop_requested is not None:
-                return
-            if all(
-                b.status in (BATCH_DONE, BATCH_QUARANTINED)
-                for b in self.batches
-            ):
-                return
-            self._assign_batches()
-            try:
-                event = await asyncio.wait_for(
-                    self._events.get(), timeout=self.poll_interval
-                )
-            except asyncio.TimeoutError:
-                self._check_watchdog()
-                continue
-            self._handle_event(event)
-            # Drain whatever queued behind it without extra sleeps.
-            while not self._events.empty():
-                self._handle_event(self._events.get_nowait())
-            self._check_watchdog()
-
-    def _handle_event(self, event: Tuple) -> None:
-        kind = event[0]
-        if kind == "stop":
-            return
-        if kind == "dead":
-            self._handle_worker_death(event[1])
-            return
-        slot, message = event[1], event[2]
-        tag = message[0]
-        health = self.monitor.workers.get(slot)
-        if tag == "ready":
-            self.monitor.beat(slot)
-            if health is not None:
-                health.state = WORKER_IDLE
-        elif tag == "init_error":
-            self.monitor.beat(slot)
-            self._handle_worker_death(slot, detail=message[2])
-        elif tag == "trial":
-            _, batch_id, index, result_data = message
-            self.monitor.beat(slot)
-            if health is not None:
-                health.trials_done += 1
-            self._record(index, TrialResult(**result_data))
-            self._maybe_chaos_kill(slot)
-        elif tag == "batch_done":
-            batch_id = message[1]
-            self.monitor.beat(slot)
-            batch = self.batches[batch_id]
-            if batch.status == BATCH_RUNNING and batch.worker == slot:
-                batch.status = BATCH_DONE
-                batch.worker = None
-            if health is not None:
-                health.state = WORKER_IDLE
-                health.batches_done += 1
-                health.current_batch = None
-
     def _record(self, index: int, trial: TrialResult) -> None:
-        if index in self.results:
-            return  # duplicate from a retried batch: first wins
+        """Executor callback (its thread): one trial, first delivery."""
         self.results[index] = trial
         self.outcome_counts[trial.outcome] = (
             self.outcome_counts.get(trial.outcome, 0) + 1
         )
-        if self._journal is not None:
-            self._journal.record(index, trial)
-
-    def _maybe_chaos_kill(self, slot: int) -> None:
-        """Self-inflicted fault injection for the service itself: after
-        ``chaos_kill_after`` streamed trials, SIGKILL the active worker
-        once.  The campaign must converge to the same journal anyway —
-        the CI smoke job runs exactly this experiment."""
-        if not self._chaos_armed or self.chaos_kill_after is None:
-            return
-        if self.trials_done >= self.chaos_kill_after:
-            self._chaos_armed = False
-            self._kill_worker(slot)
-
-    def _handle_worker_death(self, slot: int,
-                             detail: Optional[str] = None) -> None:
-        handle = self._handles.pop(slot, None)
-        if handle is None:
-            return
-        self._remove_reader(handle)
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-        try:
-            handle.process.join(0.1)
-        except (OSError, AssertionError):
-            pass
-        health = self.monitor.workers.get(slot)
-        batch_id = health.current_batch if health is not None else None
-        if health is not None:
-            health.state = WORKER_DEAD
-            health.current_batch = None
-        if batch_id is not None:
-            self._requeue_batch(self.batches[batch_id])
-        if self._stop_requested is not None:
-            return
-        outstanding = any(
-            b.status in (BATCH_PENDING, BATCH_RUNNING) for b in self.batches
-        )
-        if not outstanding:
-            return
-        if self.worker_restarts < self.max_worker_restarts:
-            self.worker_restarts += 1
-            replacement = self.monitor.workers.get(slot)
-            if replacement is not None:
-                replacement.restarts += 1
-            self._start_process(slot)
-        elif not self._handles:
-            # Graceful degradation, last resort: no workers left and no
-            # restart budget — quarantine everything still open so the
-            # campaign completes with an honest infra_error tail
-            # instead of hanging.
-            for batch in self.batches:
-                if batch.status in (BATCH_PENDING, BATCH_RUNNING):
-                    self._quarantine(batch)
-
-    def _requeue_batch(self, batch: BatchState) -> None:
-        if batch.status != BATCH_RUNNING:
-            return
-        batch.worker = None
-        batch.attempts += 1
-        if batch.attempts > self.max_retries:
-            self._quarantine(batch)
-            return
-        batch.status = BATCH_PENDING
-        batch.not_before = (
-            time.monotonic() + self.backoff.delay(batch.attempts)
-        )
-
-    def _quarantine(self, batch: BatchState) -> None:
-        batch.status = BATCH_QUARANTINED
-        batch.worker = None
-        self.quarantined_batches += 1
-        for index in batch.indices:
-            if index not in self.results:
-                self._record(index, infra_error_trial())
-
-    def _assign_batches(self) -> None:
-        now = time.monotonic()
-        idle = [
-            slot for slot, health in sorted(self.monitor.workers.items())
-            if health.state == WORKER_IDLE and slot in self._handles
-        ]
-        if not idle:
-            return
-        for batch in self.batches:
-            if not idle:
-                break
-            if batch.status != BATCH_PENDING or batch.not_before > now:
-                continue
-            if batch.assigned_slot is not None:
-                # Static sharding: only the pinned slot may take it
-                # (unless that slot is gone for good — then anyone).
-                slot = batch.assigned_slot
-                if slot in idle:
-                    idle.remove(slot)
-                elif (
-                    slot in self._handles
-                    or self.worker_restarts < self.max_worker_restarts
-                ):
-                    continue
-                else:
-                    slot = idle.pop(0)
-            else:
-                slot = idle.pop(0)
-            self._send_batch(slot, batch)
-
-    def _send_batch(self, slot: int, batch: BatchState) -> None:
-        handle = self._handles.get(slot)
-        if handle is None:
-            return
-        plans = [self._plans[index] for index in batch.indices]
-        try:
-            handle.conn.send((batch.batch_id, plans))
-        except (OSError, BrokenPipeError):
-            self._events.put_nowait(("dead", slot))
-            return
-        batch.status = BATCH_RUNNING
-        batch.worker = slot
-        health = self.monitor.workers.get(slot)
-        if health is not None:
-            health.state = WORKER_BUSY
-            health.current_batch = batch.batch_id
-            self.monitor.beat(slot)
-
-    def _check_watchdog(self) -> None:
-        for slot in self.monitor.overdue():
-            # Hung (or wedged-at-startup) worker: put it down; the EOF
-            # on its pipe funnels into the normal death path, which
-            # re-queues its batch and restarts the slot.
-            self._kill_worker(slot)
+        self._journal.record(index, trial)
 
     def _finalize_journal(self, flush_out_of_order: bool) -> None:
         if self._journal is None:
@@ -737,11 +373,10 @@ class FuzzSpec:
 class FuzzTask:
     """A served fuzz campaign.
 
-    Fuzzing already has its own journaled, resumable pool engine
-    (:mod:`repro.fuzz.campaign`); the service runs it off the event
-    loop as one supervised unit rather than re-sharding programs
-    through the batch dispatcher, and surfaces the same status shape
-    as SFI campaigns (state, progress, journal path).
+    The service runs :func:`repro.fuzz.run_fuzz_campaign` — journaled,
+    resumable, and with ``jobs > 1`` on the same supervised executor as
+    SFI campaigns — off the event loop, and surfaces the same status
+    shape as SFI campaigns (state, progress, journal path).
     """
 
     kind = "fuzz"
@@ -763,9 +398,9 @@ class FuzzTask:
         self.fingerprint: Optional[str] = None
 
     def cancel(self) -> None:
-        # The fuzz pool engine has no mid-flight cancellation hook; a
-        # cancel request before start is honoured, afterwards the
-        # campaign runs to completion (it is budget-bounded).
+        # A fuzz campaign has no mid-flight cancellation hook; a cancel
+        # request before start is honoured, afterwards the campaign runs
+        # to completion (it is budget-bounded).
         if self.state == QUEUED:
             self.state = CANCELLED
             self.done_event.set()

@@ -128,7 +128,7 @@ class CampaignServer:
         if self._scheduler is not None:
             self._admit.set()
         # Wait (bounded) for active campaigns to acknowledge the drain:
-        # their dispatchers tear workers down and flush journals.
+        # their executors tear workers down and flush journals.
         if self._active:
             await asyncio.wait(
                 list(self._active.values()), timeout=10.0

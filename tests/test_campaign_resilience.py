@@ -36,6 +36,7 @@ from repro.runtime import (
     run_campaign,
     validate_resume,
 )
+from repro.runtime.parallel import RESTARTS_PER_WORKER
 import repro.runtime.sfi as sfi
 
 pytestmark = []
@@ -410,20 +411,21 @@ class TestWorkerCrashContainment:
         assert crashed.trials == serial.trials
 
     def test_pool_retries_exhausted_marks_infra_error(self, monkeypatch):
-        # Every worker dies on its first external call: after
-        # max_pool_retries fresh pools the campaign must still return,
-        # with every unfinished trial explicitly marked.
+        # Every worker dies on its first external call: once the
+        # executor's restart budget is spent the campaign must still
+        # return, with every unfinished trial explicitly marked.
         module, _ = build_external_call_loop(8)
         externals = {"maybe_crash": crash_worker_once}
         self._env(monkeypatch, "always")
         campaign = run_campaign(
             module, trials=6, seed=4, detector=_detector(),
             output_objects=["out"], externals=externals,
-            jobs=2, chunk_size=2, max_pool_retries=1,
+            jobs=2, chunk_size=2,
         )
         assert len(campaign.trials) == 6
         assert campaign.infra_errors == 6
-        assert campaign.pool_restarts == 2  # initial pool + 1 retry
+        # Both slots restarted until the budget ran out.
+        assert campaign.pool_restarts == 2 * RESTARTS_PER_WORKER
         assert campaign.covered_fraction == 0.0
 
 

@@ -26,7 +26,6 @@ from repro.runtime import (
     plan_trial,
     run_campaign,
 )
-from repro.runtime.parallel import default_chunk_size
 from helpers import build_counted_loop, build_figure4_region
 
 
@@ -309,12 +308,3 @@ class TestSeedKeyedPlans:
         b = [second.randrange(1 << 30) for _ in range(16)]
         assert a != b
         assert not set(a) & set(b)
-
-
-class TestChunking:
-    def test_default_chunk_size_balances_pool(self):
-        assert default_chunk_size(400, 4) == 25
-        assert default_chunk_size(3, 4) == 1
-        assert default_chunk_size(1, 1) == 1
-        # Never zero, even on degenerate input.
-        assert default_chunk_size(0, 8) == 1
