@@ -8,9 +8,8 @@ Three legs over the multithreaded workload suite:
   bounded by comparing reference-engine throughput on the threaded
   stencil against the matched serial workload (``serial_stencil`` runs
   the identical row routine without spawning, so the gap is the
-  scheduler).  The comparison is on the reference tier because the
-  first spawn parks the fast engine there permanently by design —
-  scheduler behaviour is reference behaviour by construction;
+  scheduler).  The comparison is on the reference engine, where the
+  scheduler runs after every step — its worst case;
 * **serial==parallel** — ``stencil3`` (two workers over disjoint grid
   halves) must produce the same ``out`` array as ``serial_stencil``
   (one call over the full range): the data-parallel decomposition is

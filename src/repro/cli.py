@@ -21,10 +21,7 @@ import dataclasses
 import sys
 from typing import List, Optional
 
-from repro.encore import EncoreConfig, compile_for_encore
-from repro.frontend import compile_source
 from repro.ir import module_to_text, parse_module, verify_module
-from repro.opt import optimize_module
 from repro.runtime import (
     CampaignConfig,
     CampaignInterrupted,
@@ -48,6 +45,10 @@ def _load(path: str):
     with open(path) as handle:
         text = handle.read()
     if path.endswith(".mc") or text.lstrip().startswith(("global", "extern", "int", "float", "void")):
+        # The compiler is imported by the commands that use it, so
+        # ``serve`` and ``status`` start without it.
+        from repro.frontend import compile_source
+
         return compile_source(text)
     module = parse_module(text)
     verify_module(module)
@@ -88,7 +89,9 @@ def _print_stats(stats, args) -> None:
         print(stats.render_counters(), file=sys.stderr)
 
 
-def _config_from(args) -> EncoreConfig:
+def _config_from(args):
+    from repro.encore import EncoreConfig
+
     return EncoreConfig(
         pmin=None if args.no_pruning else args.pmin,
         overhead_budget=args.budget,
@@ -131,6 +134,8 @@ def _int_args(tokens: List[str]) -> List[int]:
 
 
 def cmd_analyze(args) -> int:
+    from repro.encore import compile_for_encore
+
     module = _load(args.module)
     report = compile_for_encore(
         module, _config_from(args), args=_int_args(args.args), instrument=False
@@ -154,6 +159,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_protect(args) -> int:
+    from repro.encore import compile_for_encore
+
     module = _load(args.module)
     report = compile_for_encore(
         module, _config_from(args), args=_int_args(args.args), clone=False
@@ -726,6 +733,8 @@ def cmd_status(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    from repro.frontend import compile_source
+    from repro.opt import optimize_module
     from repro.pipeline import PipelineStats
 
     module = compile_source(open(args.source).read())

@@ -2,34 +2,53 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.ir.module import Module
 from repro.profiling.profile_data import ProfileData
-from repro.runtime.interpreter import ExecResult, Interpreter, StepEvent
+from repro.runtime.interpreter import Interpreter, StepEvent, Stops
 
 
-class _ProfilingHook:
-    """Post-step hook that counts block entries and intra-frame edges."""
+class _BlockProfiler(Stops):
+    """Counts block entries, intra-frame edges and function entries.
+
+    A block is entered whenever its first instruction executes; the
+    edge runs from the block the same frame entered last (a self-loop
+    when it is the same block), and a frame's first block counts a
+    function entry.  The fast engine reports entries from decoded code
+    (``counts_blocks``) and the reference tier through ``on_step``;
+    ``total_instructions`` is the run's event count.
+    """
+
+    counts_blocks = True
 
     def __init__(self, profile: ProfileData) -> None:
         self.profile = profile
-        # frame id -> label of the block the frame last executed in
+        # frame id -> label of the block the frame last entered
         self._last_block: Dict[int, str] = {}
 
-    def __call__(self, interp: Interpreter, event: StepEvent) -> None:
+    def on_step(self, interp: Interpreter, event: StepEvent) -> None:
         if event.inst_index == 0:
-            self.profile.record_block(event.func, event.block)
-            prev = self._last_block.get(event.frame_id)
-            if prev is not None and prev != event.block:
-                self.profile.record_edge(event.func, prev, event.block)
-            elif prev == event.block:
-                # Self-loop edge (single-block loop).
-                self.profile.record_edge(event.func, prev, event.block)
-            if prev is None:
-                self.profile.record_call(event.func)
-        self._last_block[event.frame_id] = event.block
-        self.profile.total_instructions += 1
+            self.block_entry(event.frame_id, event.func, event.block)
+
+    def block_entry(self, frame_id: int, func: str, label: str) -> None:
+        profile = self.profile
+        profile.record_block(func, label)
+        prev = self._last_block.get(frame_id)
+        if prev is None:
+            profile.record_call(func)
+        else:
+            profile.record_edge(func, prev, label)
+        self._last_block[frame_id] = label
+
+
+def _profiled_run(module, profile, function, args, output_objects,
+                  max_steps, externals):
+    interp = Interpreter(module, max_steps=max_steps, externals=externals,
+                         stops=_BlockProfiler(profile))
+    result = interp.run(function, args, output_objects=output_objects)
+    profile.total_instructions += result.events
+    return result
 
 
 def profile_module(
@@ -43,11 +62,8 @@ def profile_module(
     """Execute ``function`` ``runs`` times and return the merged profile."""
     profile = ProfileData()
     for _ in range(runs):
-        hook = _ProfilingHook(profile)
-        interp = Interpreter(
-            module, max_steps=max_steps, post_step=hook, externals=externals
-        )
-        interp.run(function, args)
+        _profiled_run(module, profile, function, args, (), max_steps,
+                      externals)
     return profile
 
 
@@ -61,9 +77,6 @@ def profile_and_result(
 ):
     """One profiling run returning both the profile and the exec result."""
     profile = ProfileData()
-    hook = _ProfilingHook(profile)
-    interp = Interpreter(
-        module, max_steps=max_steps, post_step=hook, externals=externals
-    )
-    result = interp.run(function, args, output_objects=output_objects)
+    result = _profiled_run(module, profile, function, args, output_objects,
+                           max_steps, externals)
     return profile, result

@@ -61,7 +61,7 @@ def make_interpreter(module: Module, *, engine: Optional[str] = None, **kwargs):
     """Build an interpreter on the selected engine.
 
     ``kwargs`` are the usual interpreter arguments (``max_steps``,
-    ``pre_step``, ``post_step``, ``externals``, ``metadata_guard``,
-    ``memory_image``).
+    ``pre_step``, ``post_step``, ``stops``, ``externals``,
+    ``metadata_guard``, ``memory_image``).
     """
     return engine_class(engine)(module, **kwargs)

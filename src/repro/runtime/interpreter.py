@@ -3,9 +3,11 @@
 Executes modules instruction by instruction, exposing exactly the hooks
 the reproduction needs:
 
-* dynamic-instruction events (for profiling, trace capture and fault
-  injection — ``pre_step``/``post_step`` callbacks receive resolved
-  memory addresses);
+* dynamic-instruction events (for trace capture, symptom detectors and
+  other generic observers — ``pre_step``/``post_step`` callbacks receive
+  resolved memory addresses), and event-indexed :class:`Stops`
+  observers for fault injection and profiling, which name in advance
+  the steps they need to see;
 * two step counters: ``events`` counts executed instructions (fault
   sites are drawn from this index), while ``cost`` charges each
   instruction's ``dynamic_cost`` so Encore instrumentation overhead is
@@ -123,6 +125,46 @@ class _Frame:
 Hook = Callable[["ReferenceInterpreter", StepEvent], None]
 ExternalFn = Callable[[Sequence[Word]], Word]
 
+#: An event index no run reaches: "no stop pending".
+NO_STOP = 1 << 62
+
+
+class Stops:
+    """An observer that names in advance the steps it must see.
+
+    A ``post_step`` hook is called after every step, so the fast engine
+    runs the whole run in its reference tier while one is installed.  A
+    ``Stops`` observer instead publishes :meth:`next_stop`, the event
+    index of the next step it must observe.  The reference engine calls
+    :meth:`on_step` after every step, exactly like a ``post_step`` hook;
+    the fast engine runs decoded code up to the next stop and calls
+    :meth:`on_step` only after the steps it runs in the reference tier.
+    So ``on_step`` must change nothing on a step before ``next_stop``,
+    with two exceptions that decoded code replicates:
+
+    * while :attr:`watch_regions` is true, every ``set_recovery_ptr``,
+      ``clear_recovery_ptr`` and ``ret`` runs as a reference step (the
+      recovery supervisor's progress test can change only there);
+    * with :attr:`counts_blocks` set, decoded code reports every
+      executed first instruction of a block to :meth:`block_entry`
+      (profiling), while ``on_step`` sees those of reference steps.
+
+    ``next_stop`` and ``watch_regions`` are read again after every
+    reference step, and whenever a run (re)enters :meth:`resume`.
+    """
+
+    counts_blocks = False
+    watch_regions = False
+
+    def next_stop(self, interp: "ReferenceInterpreter") -> int:
+        return NO_STOP
+
+    def on_step(self, interp: "ReferenceInterpreter", event: StepEvent) -> None:
+        pass
+
+    def block_entry(self, frame_id: int, func: str, label: str) -> None:
+        pass
+
 
 class ReferenceInterpreter:
     """Executes one module.
@@ -155,6 +197,7 @@ class ReferenceInterpreter:
         memory_image: Optional[MachineMemory] = None,
         max_threads: Optional[int] = None,
         quantum: Optional[int] = None,
+        stops: Optional[Stops] = None,
     ) -> None:
         self.module = module
         self.max_steps = max_steps
@@ -169,6 +212,7 @@ class ReferenceInterpreter:
         self.context: Optional[ExecutionContext] = None
         self.pre_step = pre_step
         self.post_step = post_step
+        self.stops = stops
         self.externals: Dict[str, ExternalFn] = dict(externals or {})
         # Self-protection of the recovery metadata itself: seals every
         # checkpoint record and recovery pointer on write and verifies
@@ -413,8 +457,15 @@ class ReferenceInterpreter:
         else:
             self.app_cost += inst.dynamic_cost
 
-        if self.post_step is not None:
-            self.post_step(self, event)
+        try:
+            if self.post_step is not None:
+                self.post_step(self, event)
+            if self.stops is not None:
+                self.stops.on_step(self, event)
+        except BaseException:
+            if self.scheduler is not None:
+                self.scheduler.step_aborted()
+            raise
 
         if self._pending_redirect is not None and self.frames:
             self.frames[-1].block = self._pending_redirect

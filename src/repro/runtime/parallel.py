@@ -28,8 +28,8 @@ so ``inject``, incremental campaigns and the experiment harness),
   ``lost(index)`` stands in for each of its unfinished units, so the
   campaign completes degraded but honest instead of hanging.
 
-The loop is synchronous: it waits on the worker pipes with
-:func:`multiprocessing.connection.wait`, so the CLI, a fuzz worker
+The loop is synchronous: it waits on the worker pipes with one
+selector kept for the executor's life, so the CLI, a fuzz worker
 (whose ``campaign`` oracle nests a second executor) and the server
 (through ``asyncio.to_thread``) all run the same code.  Per-trial
 wall-clock timeouts stay inside the worker
@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import multiprocessing.connection
 import os
 import pickle
+import selectors
 import signal
 import threading
 import time
@@ -246,6 +246,10 @@ class Executor:
         self._on_result = on_result
         self._chaos_kill_after = chaos_kill_after
         self._handles: Dict[int, _Handle] = {}
+        # One selector for the executor's life: a worker's pipe is
+        # registered when it starts and unregistered when it dies.
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._next_liveness_scan = 0.0
         self._stopped = False
 
     @property
@@ -262,18 +266,18 @@ class Executor:
     def run(self) -> Dict[int, Any]:
         """Execute every unit (or until :meth:`stop`); returns the
         results by index.  Workers are torn down however it ends."""
+        self._selector = selectors.DefaultSelector()
         try:
             for slot in range(self.workers):
                 self._start(slot)
             while not self._stopped and len(self.results) < len(self.units):
                 self._assign_batches()
-                conns = {h.conn: slot for slot, h in self._handles.items()}
-                for conn in multiprocessing.connection.wait(
-                        list(conns), timeout=self.poll_interval):
-                    self._receive(conns[conn])
+                for key, _ in self._selector.select(self.poll_interval):
+                    self._receive(key.data)
                 self._check_watchdog()
         finally:
             self._teardown()
+            self._selector.close()
         return self.results
 
     # -- workers ------------------------------------------------------
@@ -293,6 +297,7 @@ class Executor:
             process.start()
             child_conn.close()
         self._handles[slot] = _Handle(process, parent_conn)
+        self._selector.register(parent_conn, selectors.EVENT_READ, slot)
         self.monitor.track(slot, process.pid)
 
     def _receive(self, slot: int) -> None:
@@ -338,6 +343,7 @@ class Executor:
 
     def _handle_worker_death(self, slot: int) -> None:
         handle = self._handles.pop(slot)
+        self._selector.unregister(handle.conn)
         handle.conn.close()
         handle.process.kill()
         handle.process.join(1.0)
@@ -428,6 +434,13 @@ class Executor:
         self.monitor.beat(slot)
 
     def _check_watchdog(self) -> None:
+        # At most once per poll interval, by the clock: a worker that
+        # dies without an EOF is still found within one interval while
+        # its peers keep the selector busy.
+        now = time.monotonic()
+        if now < self._next_liveness_scan:
+            return
+        self._next_liveness_scan = now + self.poll_interval
         for slot in self.monitor.overdue():
             if slot in self._handles:
                 # Hung (or wedged at startup): put it down; the EOF on
@@ -459,6 +472,7 @@ class Executor:
             if handle.process.is_alive():
                 handle.process.kill()
                 handle.process.join(1.0)
+            self._selector.unregister(handle.conn)
             handle.conn.close()
         self._handles.clear()
         for health in self.monitor.workers.values():

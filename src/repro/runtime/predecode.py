@@ -16,12 +16,23 @@ listening.  This module removes all of that by translating each
   loop latch) and checkpoint+store (every instrumented store, by
   construction adjacent and same-address), fuse into single closures
   that charge exactly the events/costs of the unfused sequence;
-* **a fast-path/slow-path hook tier** — whenever ``pre_step`` or
-  ``post_step`` is installed (profiling, trace capture, SFI injection)
-  or a redirect is pending, :class:`FastInterpreter` delegates to the
-  *inherited* reference ``_step``, so hook observable behaviour is the
-  reference behaviour by definition.  Hooks may come and go mid-run;
-  the engine re-checks at every block boundary;
+* **event-indexed stops** — a :class:`~repro.runtime.interpreter.
+  Stops` observer (a fault-injection trial, a profiling run) and the
+  thread scheduler name the next step they must see; decoded code runs
+  up to it, and :class:`FastInterpreter` executes that step with the
+  *inherited* reference ``_step``, so what an observer sees is the
+  reference behaviour by definition.  ``spawn``, ``join`` and a
+  thread's final ``ret`` always take a reference step, and so do
+  ``set_recovery_ptr``, ``clear_recovery_ptr`` and ``ret`` while the
+  observer watches regions (a rollback is active);
+* **a hook tier** — whenever a generic ``pre_step``/``post_step`` hook
+  is installed (trace capture, symptoms, replay detection) or a
+  redirect is pending, every step takes the reference ``_step``.
+  Hooks may come and go mid-run; the engine re-checks whenever decoded
+  code leaves its loop;
+* **decoded profiling** — a profiling observer gets a variant of the
+  decoded program whose block heads report each block entry, so
+  profiles are collected at decoded speed;
 * **a decode cache** — decoded programs are memoized per ``Module``
   object (validated by a cheap structural signature) and shared across
   content-equal copies via the pipeline's module fingerprint, so a
@@ -54,10 +65,12 @@ from repro.ir.types import wrap_int
 from repro.ir.values import Constant, MemoryObject, MemRef, VirtualRegister
 from repro.pipeline.manager import module_fingerprint
 from repro.runtime.interpreter import (
+    NO_STOP,
     ExecResult,
     ExecutionLimit,
     ReferenceInterpreter,
     StepEvent,
+    Stops,
     Trap,
     _default_external,
 )
@@ -166,23 +179,20 @@ def _bump_ckpt_words(interp, frame, region_id: int, log: list, delta: int) -> No
     """Incrementally maintained version of ``_track_ckpt``.
 
     The reference recounts the whole undo log on every push — O(n²)
-    per region.  The fast engine keeps a per-``(frame, region)`` word
-    count, recomputing from scratch only after slow-path steps (which
-    may mutate logs behind our back: guard fault injection, hook code).
+    per region.  The fast engine keeps, per ``(frame, region)``, the log
+    it counted, that log's length and its word count, and extends the
+    count only when the log is the same list with exactly one more
+    record; otherwise (a reference-tier step pushed, or replaced the
+    log) it recounts.
     """
-    cw = interp._ckpt_words
     key = (frame.id, region_id)
-    if interp._ckpt_words_ok:
-        words = cw.get(key)
-        if words is None:
-            words = sum(2 if r[0] == "mem" else 1 for r in log)
-        else:
-            words += delta
+    entry = interp._ckpt_words.get(key)
+    size = len(log)
+    if entry is not None and entry[0] is log and entry[1] == size - 1:
+        words = entry[2] + delta
     else:
-        cw.clear()
-        interp._ckpt_words_ok = True
         words = sum(2 if r[0] == "mem" else 1 for r in log)
-    cw[key] = words
+    interp._ckpt_words[key] = (log, size, words)
     peaks = interp.peak_ckpt_words
     if words > peaks.get(region_id, 0):
         peaks[region_id] = words
@@ -299,12 +309,35 @@ def _resolver(ref: MemRef) -> Callable:
 # opcode templates
 #
 # Every template returns a closure ``step(interp, frame) -> next_ip``.
-# Sentinels: ``-1`` leaves the block loop entirely (frame switch, call,
-# external, return); ``-2`` re-dispatches on ``frame.block`` within the
-# same function (branch taken).  Closures that can raise set
-# ``frame.ip`` to their own index first, so a trap always resumes (or
-# retries) at exactly the reference position.
+# The sentinel ``-1`` leaves the block loop entirely (frame switch,
+# call, external, return, or a parked step).  Closures that can raise
+# set ``frame.ip`` to their own index first, so a trap always resumes
+# (or retries) at exactly the reference position.
 # ----------------------------------------------------------------------
+
+
+def _park(interp, frame, idx: int) -> int:
+    """Leave decoded code *before* this instruction, and make it a stop.
+
+    The closure executes nothing: ``frame.ip`` names the instruction and
+    the engine's next stop is now, so the reference ``_step`` executes
+    it with full semantics (and the observer and scheduler see it).
+    """
+    frame.ip = idx
+    interp._stop = interp.events
+    return -1
+
+
+def _stop_mid_pair(interp, frame, second: int) -> int:
+    """The budget or a stop fell between the halves of a fused pair.
+
+    ``frame.ip`` parks on the second half; an exhausted budget raises
+    like the reference, a stop leaves the decoded loop.
+    """
+    frame.ip = second
+    if interp.events >= interp.max_steps:
+        raise ExecutionLimit(f"exceeded {interp.max_steps} dynamic instructions")
+    return -1
 
 
 def _t_binop(inst, idx: int, nxt: int):
@@ -1055,11 +1088,15 @@ def _t_call(inst, idx: int, nxt: int, module: Module, func_name: str, label: str
     callee = module.get_function(inst.callee)
     ipn = idx + 1  # block-relative resume position (frame.ip units)
     if callee is not None:
-
-        def step(interp, frame, _callee=callee, _args=arg_evals):
+        # The callee is looked up in the running module, never captured:
+        # a decoded program serves every content-equal copy of its
+        # module, and the copy it was decoded from may since have been
+        # transformed in place.
+        def step(interp, frame, _name=inst.callee, _args=arg_evals):
             args = [g(frame) for g in _args]
             frame.ip = ipn  # the reference advances before the push
-            interp._push_frame(_callee, args, ret_dest=dest)
+            interp._push_frame(interp.module.functions[_name], args,
+                               ret_dest=dest)
             interp.events += 1
             interp.cost += dc
             return -1
@@ -1107,10 +1144,15 @@ def _t_call(inst, idx: int, nxt: int, module: Module, func_name: str, label: str
 
 
 def _t_ret(inst, idx: int, nxt: int):
+    # A thread's final ret is a reference step (the scheduler settles
+    # and switches there), as is every ret while regions are watched
+    # (it may pop the frame that owns an active rollback).
     dc = inst.dynamic_cost
     if inst.value is None:
 
         def step(interp, frame):
+            if interp._watch or len(interp.frames) == 1:
+                return _park(interp, frame, idx)
             interp._pop_frame(None)
             interp.events += 1
             interp.cost += dc
@@ -1120,6 +1162,8 @@ def _t_ret(inst, idx: int, nxt: int):
     get_v = _operand(inst.value)
 
     def step(interp, frame):
+        if interp._watch or len(interp.frames) == 1:
+            return _park(interp, frame, idx)
         interp._pop_frame(get_v(frame))
         interp.events += 1
         interp.cost += dc
@@ -1133,6 +1177,8 @@ def _t_set_recovery_ptr(inst, idx: int, nxt: int):
     ptr = (inst.region_id, inst.recovery_label)
 
     def step(interp, frame):
+        if interp._watch:
+            return _park(interp, frame, idx)
         frame.recovery_ptr = ptr
         frame.region_ckpts[rid] = []
         guard_cost = interp.guard.on_publish(frame)
@@ -1152,6 +1198,8 @@ def _t_clear_recovery_ptr(inst, idx: int, nxt: int):
     rid, dc = inst.region_id, inst.dynamic_cost
 
     def step(interp, frame):
+        if interp._watch:
+            return _park(interp, frame, idx)
         if frame.recovery_ptr is not None and frame.recovery_ptr[0] == rid:
             frame.recovery_ptr = None
             frame.region_ckpts[rid] = []
@@ -1273,9 +1321,10 @@ def _t_cmp_br(cmp_inst, br_inst, idx: int, targets: Dict[str, int]):
     """compare+branch fused: the latch of every loop, in one call.
 
     Charges the exact events/costs of the unfused sequence, including
-    the step-budget check *between* the halves (with ``frame.ip``
-    parked on the branch, so a limit hit resumes exactly there).  The
-    flag register is still written — later readers see it.
+    the step-budget and stop check *between* the halves (with
+    ``frame.ip`` parked on the branch, so a limit hit resumes exactly
+    there and a stop runs the branch as a reference step).  The flag
+    register is still written — later readers see it.
     """
     pred, dest = cmp_inst.pred, cmp_inst.dest
     lhs, rhs = cmp_inst.lhs, cmp_inst.rhs
@@ -1311,11 +1360,8 @@ def _t_cmp_br(cmp_inst, br_inst, idx: int, targets: Dict[str, int]):
             regs[_d] = r
             interp.events += 1
             interp.cost += _cdc
-            if interp.events >= interp.max_steps:
-                frame.ip = bidx
-                raise ExecutionLimit(
-                    f"exceeded {interp.max_steps} dynamic instructions"
-                )
+            if interp.events >= interp._limit:
+                return _stop_mid_pair(interp, frame, bidx)
             frame.ip = 0
             interp.events += 1
             interp.cost += _bdc
@@ -1345,11 +1391,8 @@ def _t_cmp_br(cmp_inst, br_inst, idx: int, targets: Dict[str, int]):
             regs[_d] = r
             interp.events += 1
             interp.cost += _cdc
-            if interp.events >= interp.max_steps:
-                frame.ip = bidx
-                raise ExecutionLimit(
-                    f"exceeded {interp.max_steps} dynamic instructions"
-                )
+            if interp.events >= interp._limit:
+                return _stop_mid_pair(interp, frame, bidx)
             frame.ip = 0
             interp.events += 1
             interp.cost += _bdc
@@ -1375,11 +1418,8 @@ def _t_cmp_br(cmp_inst, br_inst, idx: int, targets: Dict[str, int]):
         frame.regs[dest] = r
         interp.events += 1
         interp.cost += cdc
-        if interp.events >= interp.max_steps:
-            frame.ip = bidx
-            raise ExecutionLimit(
-                f"exceeded {interp.max_steps} dynamic instructions"
-            )
+        if interp.events >= interp._limit:
+            return _stop_mid_pair(interp, frame, bidx)
         frame.ip = 0
         interp.events += 1
         interp.cost += bdc
@@ -1441,11 +1481,8 @@ def _t_ckpt_store(ck_inst, st_inst, idx: int, nxt: int):
         interp.events += 1
         interp.cost += cdc
         interp.instrumentation_cost += cdc
-        if interp.events >= interp.max_steps:
-            frame.ip = sidx
-            raise ExecutionLimit(
-                f"exceeded {interp.max_steps} dynamic instructions"
-            )
+        if interp.events >= interp._limit:
+            return _stop_mid_pair(interp, frame, sidx)
         cells[index] = _v(frame)
         interp.events += 1
         interp.cost += sdc
@@ -1538,17 +1575,10 @@ def _decode_one(inst: Instruction, idx: int, nxt: int, module: Module,
     if op == "restore":
         return _t_restore(inst, idx, nxt)
     if op in ("spawn", "join"):
-        # Thread ops put the run into scheduler mode, where every step
-        # must go through the reference tier (bind/suspend, switch
-        # points, blocking joins).  The closure executes *nothing*: it
-        # parks ``frame.ip`` on the instruction, flips the engine to
-        # the slow tier permanently, and leaves the fast loop so the
-        # reference ``_step`` re-executes this very instruction with
-        # full semantics.
-        def step(interp, frame, _idx=idx):
-            frame.ip = _idx
-            interp._force_slow = True
-            return -1
+        # Thread ops are reference steps: the scheduler comes up at the
+        # first spawn, and a blocking join switches threads.
+        def step(interp, frame):
+            return _park(interp, frame, idx)
 
         return step
     unknown = f"unknown opcode {op}"
@@ -1630,6 +1660,25 @@ def _decode_function(func, module: Module, fused: Dict[str, int]):
     return flat, starts
 
 
+def _t_block_head(inner, func_name: str, label: str):
+    """A block's first slot in the block-counting variant.
+
+    Reports the entry once the first instruction has executed, as a
+    ``post_step`` profiler would: a trapping step reports nothing, and
+    neither does a parked one (it executes nothing here, and its
+    reference step reports to ``Stops.on_step`` instead).
+    """
+
+    def step(interp, frame, _inner=inner):
+        events = interp.events
+        nxt = _inner(interp, frame)
+        if interp.events != events:
+            interp.stops.block_entry(frame.id, func_name, label)
+        return nxt
+
+    return step
+
+
 class DecodedProgram:
     """One module, translated.
 
@@ -1638,7 +1687,7 @@ class DecodedProgram:
     instruction count)`` pair.
     """
 
-    __slots__ = ("fingerprint", "code", "starts", "fused")
+    __slots__ = ("fingerprint", "code", "starts", "fused", "_counting")
 
     def __init__(self, fingerprint: str,
                  code: Dict[str, list],
@@ -1648,6 +1697,23 @@ class DecodedProgram:
         self.code = code
         self.starts = starts
         self.fused = fused
+        self._counting: Optional["DecodedProgram"] = None
+
+    def block_counting(self) -> "DecodedProgram":
+        """This program with every block head reporting its entries to
+        the interpreter's ``stops`` (decoded profiling); built once,
+        sharing every other closure."""
+        if self._counting is None:
+            code = {}
+            for name, flat in self.code.items():
+                flat = list(flat)
+                for label, (start, size) in self.starts[name].items():
+                    if size:
+                        flat[start] = _t_block_head(flat[start], name, label)
+                code[name] = flat
+            self._counting = DecodedProgram(
+                self.fingerprint, code, self.starts, self.fused)
+        return self._counting
 
 
 def decode_module(module: Module,
@@ -1767,12 +1833,14 @@ def invalidate_decode(module: Module) -> None:
 class FastInterpreter(ReferenceInterpreter):
     """Two-tier engine: pre-decoded fast path, reference slow path.
 
-    Runs decoded closures whenever no hook is installed and no redirect
-    is pending; otherwise executes the *inherited* reference ``_step``,
-    instruction by instruction, re-checking at every step.  Campaign
-    trials (which install ``post_step`` injectors) therefore run on
-    reference code paths by construction, while golden runs, baselines,
-    and plain executions get template dispatch.
+    Runs decoded closures up to the next *stop* — the next step a
+    :class:`~repro.runtime.interpreter.Stops` observer or the thread
+    scheduler must see — and executes that step with the *inherited*
+    reference ``_step``.  A generic ``pre_step``/``post_step`` hook or a
+    pending redirect sends every step to the reference tier.  So golden
+    runs, profiling runs, threaded runs and model-detector SFI trials
+    all run decoded code between their stops, while trace capture and
+    replay-detector trials run on reference code paths by construction.
 
     The same single-run contract as :class:`ReferenceInterpreter`
     applies; see its docstring for what may be shared across runs.
@@ -1789,6 +1857,7 @@ class FastInterpreter(ReferenceInterpreter):
         memory_image: Optional[MachineMemory] = None,
         max_threads: Optional[int] = None,
         quantum: Optional[int] = None,
+        stops: Optional[Stops] = None,
     ) -> None:
         super().__init__(
             module,
@@ -1800,39 +1869,56 @@ class FastInterpreter(ReferenceInterpreter):
             memory_image=memory_image,
             max_threads=max_threads,
             quantum=quantum,
+            stops=stops,
         )
         self._program: Optional[DecodedProgram] = None
-        # Set by the first spawn/join the decoded code reaches: from
-        # then on every step takes the reference tier, so scheduler
-        # behaviour is reference behaviour by construction.
-        self._force_slow = False
+        # The event index of the next step that must run in the
+        # reference tier, the decoded loop's bound (the lower of that
+        # and ``max_steps``; fused pairs check it between halves), and
+        # whether region instructions park (see Stops.watch_regions).
+        self._stop = NO_STOP
+        self._limit = max_steps
+        self._watch = False
         # Incremental peak_ckpt_words bookkeeping: (frame id, region id)
-        # -> words currently logged.  Invalidated whenever a slow-path
-        # step (hook code, guard injection) may have touched a log.
-        self._ckpt_words: Dict[Tuple[int, int], int] = {}
-        self._ckpt_words_ok = True
+        # -> (log, its length, its words); see _bump_ckpt_words.
+        self._ckpt_words: Dict[Tuple[int, int], tuple] = {}
         # Decoded memory templates probe the cell map directly; the
         # dict object is stable for the life of a ``MachineMemory``.
         self._mem_cells = self.memory._cells
+
+    def _next_stop(self) -> int:
+        """The next stop of the observer and the scheduler; also
+        refreshes whether region instructions park."""
+        stop = NO_STOP
+        stops = self.stops
+        if stops is not None:
+            stop = stops.next_stop(self)
+            self._watch = stops.watch_regions
+        if self.scheduler is not None:
+            stop = min(stop, self.scheduler.next_stop(self))
+        return stop
 
     def resume(self, output_objects=()):
         """Continue execution (e.g. after an externally-handled trap)."""
         program = self._program
         try:
+            self._stop = self._next_stop()
             while not self._finished:
                 if (
-                    self.pre_step is not None
-                    or self.post_step is not None
+                    self.events >= self._stop
                     or self._pending_redirect is not None
-                    or self._force_slow
+                    or self.pre_step is not None
+                    or self.post_step is not None
                 ):
-                    self._ckpt_words_ok = False
                     self._step()
+                    if not self._finished:
+                        self._stop = self._next_stop()
                 else:
                     if program is None:
-                        program = self._program = (
-                            DECODE_CACHE.program_for(self.module)
-                        )
+                        program = DECODE_CACHE.program_for(self.module)
+                        if self.stops is not None and self.stops.counts_blocks:
+                            program = program.block_counting()
+                        self._program = program
                     self._run_decoded(program)
         finally:
             # Fast-path closures bank only ``cost`` (plus
@@ -1851,15 +1937,17 @@ class FastInterpreter(ReferenceInterpreter):
         )
 
     def _run_decoded(self, program: DecodedProgram) -> None:
-        """Run decoded code until a frame switch, finish, or exception.
+        """Run decoded code until a frame switch, a stop, finish, or
+        exception.
 
         The inner loop is the entire fast-path dispatch: one bounds
-        compare, one step-budget compare, one closure call.  Closures
-        return the flat index of the next slot (branches return their
-        target's block start; every block ends in a fell-off stub) or
-        ``-1`` to leave (call/ret/external — the outer ``resume`` loop
-        re-checks hooks there, which is how mid-run hook installation
-        switches tiers).
+        compare, one compare against the lower of the step budget and
+        the next stop, one closure call.  Closures return the flat index
+        of the next slot (branches return their target's block start;
+        every block ends in a fell-off stub) or ``-1`` to leave
+        (call/ret/external/parked step — the outer ``resume`` loop
+        re-checks hooks and stops there, which is how mid-run hook
+        installation switches tiers).
         """
         frame = self.frames[-1]
         maxs = self.max_steps
@@ -1868,6 +1956,7 @@ class FastInterpreter(ReferenceInterpreter):
         # (which raises the same KeyError for a wild resume label).
         if self.events >= maxs:
             raise ExecutionLimit(f"exceeded {maxs} dynamic instructions")
+        limit = self._limit = min(maxs, self._stop)
         code = program.code[frame.func.name]
         starts = program.starts[frame.func.name]
         start, size = starts[frame.block]
@@ -1880,12 +1969,18 @@ class FastInterpreter(ReferenceInterpreter):
             )
         ip = start + frame.ip
         while ip >= 0:
-            if self.events >= maxs:
-                # Park a block-relative ip for the resume contract.
-                # Closures keep ``frame.block`` exact at all times, so
-                # the subtraction is valid on this rare exit.
-                frame.ip = ip - starts[frame.block][0]
-                raise ExecutionLimit(
-                    f"exceeded {maxs} dynamic instructions"
-                )
+            if self.events >= limit:
+                # Park a block-relative ip for the resume contract (or
+                # for the reference step at the stop).  Closures keep
+                # ``frame.block`` exact at all times, so the
+                # subtraction is valid on this rare exit; a branch to
+                # an undeclared label already left ``frame.ip`` at 0.
+                entry = starts.get(frame.block)
+                if entry is not None:
+                    frame.ip = ip - entry[0]
+                if self.events >= maxs:
+                    raise ExecutionLimit(
+                        f"exceeded {maxs} dynamic instructions"
+                    )
+                return
             ip = code[ip](self, frame)

@@ -27,9 +27,10 @@ Design notes, in decreasing order of importance:
   post-rollback state and stays self-consistent.  No golden chunk log
   or resynchronisation protocol is needed.
 * **Replay always runs on the reference engine.**  The main run
-  executes hooks on the reference ``_step`` path anyway (hooks pin the
-  fast engine to the slow tier), so digests are engine-independent and
-  replay campaigns are bit-identical across ``fast``/``reference``.
+  executes its per-step hooks on the reference ``_step`` path anyway
+  (a generic hook keeps the fast engine in its reference tier), so
+  digests are engine-independent and replay campaigns are
+  bit-identical across ``fast``/``reference``.
 * **Digests are process-stable.**  FNV-1a mixing over explicit
   encodings (two's-complement ints, IEEE-754 float bits, CRC-32 of
   object/block names) — never Python ``hash()`` — so chunk logs agree

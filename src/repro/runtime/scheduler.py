@@ -34,6 +34,13 @@ the whole pre-existing corpus.
 Every switch is recorded in ``switch_log`` as ``(event_index,
 from_tid, to_tid)`` — the engine-equivalence tests assert the fast and
 reference engines produce identical logs.
+
+The scheduler acts only in :meth:`CooperativeScheduler.after_step`,
+which the reference ``_step`` calls.  The fast engine runs decoded code
+between the steps where that call can matter: ``next_stop`` names the
+next step an expired quantum may switch at, and ``spawn``, ``join`` and
+a thread's final ``ret`` always run as reference steps.  A quantum is
+therefore counted in events since it began, never step by step.
 """
 
 from __future__ import annotations
@@ -67,7 +74,8 @@ class CooperativeScheduler:
         self.current: Optional[int] = None
         #: ``(event_index, from_tid, to_tid)`` per switch, in order.
         self.switch_log: List[Tuple[int, int, int]] = []
-        self._slice = 0
+        #: ``interp.events`` when the current quantum began.
+        self._slice_base = 0
         self._slice_start_events = 0
         self._next_tid = 1
 
@@ -79,6 +87,7 @@ class CooperativeScheduler:
         self.ring.append(ctx.tid)
         self.current = ctx.tid
         self._slice_start_events = events
+        self._slice_base = events
 
     def create_context(self) -> ExecutionContext:
         """Allocate a context for a newly spawned thread."""
@@ -93,9 +102,39 @@ class CooperativeScheduler:
 
     # -- the per-step hook -------------------------------------------------
 
+    def next_stop(self, interp: "ReferenceInterpreter") -> int:
+        """The index of the next step at which a thread switch may happen.
+
+        Before the quantum expires that is its last step.  After it, the
+        switch waits for the next switch opcode, and inside the current
+        block its position is static, so the engine may run up to it.
+        Blocking joins and finishing threads switch too; the engine runs
+        ``join`` and a thread's final ``ret`` in the reference tier.
+        """
+        expiry = self._slice_base + self.quantum - 1
+        events = interp.events
+        if events < expiry:
+            return expiry
+        if not interp.frames:
+            return events
+        frame = interp.frames[-1]
+        block = frame.func.blocks.get(frame.block)
+        if block is None:
+            return events
+        insts = block.instructions
+        for index in range(frame.ip, len(insts)):
+            if insts[index].opcode in SWITCH_OPCODES:
+                return events + index - frame.ip
+        return events + max(0, len(insts) - frame.ip)
+
+    def step_aborted(self) -> None:
+        """The step just counted never reached :meth:`after_step` (an
+        observer raised after it, e.g. a wild-branch trap): like every
+        step the scheduler never saw, it is not part of the quantum."""
+        self._slice_base += 1
+
     def after_step(self, interp: "ReferenceInterpreter", opcode: str) -> None:
         """Called by the engine at the end of every step while active."""
-        self._slice += 1
         cur = interp.context
         if interp._finished:
             cur.state = DONE
@@ -109,7 +148,8 @@ class CooperativeScheduler:
         if cur.state == BLOCKED:
             self._switch(interp, must=True)
             return
-        if self._slice >= self.quantum and opcode in SWITCH_OPCODES:
+        if (interp.events - self._slice_base >= self.quantum
+                and opcode in SWITCH_OPCODES):
             self._switch(interp, must=False)
 
     # -- internals ---------------------------------------------------------
@@ -162,7 +202,7 @@ class CooperativeScheduler:
                     interp.events,
                 )
             # Quantum expired but nobody else can run: keep going.
-            self._slice = 0
+            self._slice_base = interp.events
             return
         cur = interp.context
         self._settle(interp, cur)
@@ -170,4 +210,4 @@ class CooperativeScheduler:
         self.switch_log.append((interp.events, cur.tid, nxt.tid))
         self.current = nxt.tid
         interp._bind(nxt)
-        self._slice = 0
+        self._slice_base = interp.events

@@ -71,10 +71,12 @@ from repro.runtime.detection import DetectionModel
 from repro.runtime.engine import make_interpreter
 from repro.runtime.guarded_state import METADATA_TARGETS
 from repro.runtime.interpreter import (
+    NO_STOP,
     ExecResult,
     ExecutionLimit,
     Interpreter,
     StepEvent,
+    Stops,
     Trap,
     bitflip,
 )
@@ -304,9 +306,15 @@ def plan_campaign(
     ]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class TrialResult:
-    """One SFI trial."""
+    """One SFI trial.
+
+    Campaigns keep every result, so a result is slotted, and it pickles
+    as the bare tuple of its field values (what a worker sends the
+    executor per trial) with ``outcome`` mapped back to the
+    :data:`OUTCOMES` constant on load.
+    """
 
     outcome: str
     fault_event: int
@@ -344,6 +352,18 @@ class TrialResult:
     #: attributed by the incremental subsystem (None outside it, and
     #: then omitted from journals for byte-stability).
     section: Optional[str] = None
+
+    def __reduce__(self):
+        return _trial_from_values, tuple(
+            getattr(self, name) for name in _TRIAL_FIELDS)
+
+
+_TRIAL_FIELDS = tuple(field.name for field in dataclasses.fields(TrialResult))
+_OUTCOME_CONSTANTS = {outcome: outcome for outcome in OUTCOMES}
+
+
+def _trial_from_values(outcome: str, *values) -> TrialResult:
+    return TrialResult(_OUTCOME_CONSTANTS.get(outcome, outcome), *values)
 
 
 def infra_error_trial() -> TrialResult:
@@ -477,8 +497,8 @@ class CampaignResult:
         return base
 
 
-class _FaultInjector:
-    """Post-step hook driving one trial: inject fault(s), then detect.
+class _FaultInjector(Stops):
+    """The stop schedule of one trial: inject fault(s), then detect.
 
     ``faults`` is a list of ``(site, bit, latency)`` triples; the paper's
     single-event-upset model uses one, and the multi-fault extension
@@ -486,7 +506,15 @@ class _FaultInjector:
     when a deadline passes, the rollback decision is delegated to the
     trial's :class:`RecoverySupervisor`, which also gets a per-step
     callback for progress tracking, its watchdog, and the recovery-window
-    (double-fault) injections.
+    (double-fault) injections.  ``control`` (optional) is the
+    control-flow surface, observed after the register and metadata ones.
+
+    Every planned action has an event index, so the engine runs decoded
+    code between them (see :class:`~repro.runtime.interpreter.Stops`):
+    a register strike waits at its site for the next instruction that
+    defines a register, a metadata strike fires at its site, and a
+    deadline fires at its index.  :meth:`on_step` is what a per-step
+    hook would do; the replay backend installs it as one.
     """
 
     def __init__(
@@ -494,9 +522,11 @@ class _FaultInjector:
         faults,
         supervisor: RecoverySupervisor,
         metadata_faults: Sequence[Tuple[int, str, int, int]] = (),
+        control: Optional["_ControlFlowInjector"] = None,
     ) -> None:
         self.pending = sorted(faults, key=lambda f: f[0])
         self.supervisor = supervisor
+        self.control = control
         self.fault_events: List[int] = []
         #: Faults that actually struck: (site, bit, latency, event index).
         self.injected: List[Tuple[int, int, Optional[int], int]] = []
@@ -520,7 +550,31 @@ class _FaultInjector:
         """
         return self.injected[0][2] if self.injected else None
 
+    def next_stop(self, interp: Interpreter) -> int:
+        stops = self.supervisor.stops()
+        for planned in (self.pending, self.meta_pending):
+            if planned:
+                stops.append(planned[0][0])
+        if self.deadlines:
+            stops.append(self.deadlines[0])
+        if self.control is not None and self.control.pending:
+            stops.append(self.control.pending[0][0])
+        return min(stops, default=NO_STOP)
+
+    @property
+    def watch_regions(self) -> bool:
+        return self.supervisor.rollback_active
+
+    def on_step(self, interp: Interpreter, event: StepEvent) -> None:
+        # Register/metadata surface first, then the control surface — a
+        # branch's destination register is corrupted before its
+        # realized edge is corrupted or checked.
+        self(interp, event)
+        if self.control is not None:
+            self.control(interp, event)
+
     def __call__(self, interp: Interpreter, event: StepEvent) -> None:
+        """The register and metadata surfaces of one step."""
         while self.meta_pending and event.index >= self.meta_pending[0][0]:
             # Metadata faults strike storage, not a destination
             # register: they fire at their planned site regardless of
@@ -550,7 +604,7 @@ class _FaultInjector:
 
 
 class _ControlFlowInjector:
-    """Post-step hook for the control-flow fault surface.
+    """The control-flow fault surface of one trial's stop schedule.
 
     Each planned fault arms at its dynamic site and strikes the next
     branch executed at or after it — ``wrong`` kinds wait for a
@@ -567,6 +621,10 @@ class _ControlFlowInjector:
     reports an illegal edge to the supervisor at once (latency 0).
     A wrong-way branch follows a legal edge and sails through — the
     honesty gap the ``cfe_silent`` outcome measures.
+
+    A decoded branch takes only its static edges, so an illegal edge can
+    appear only on a struck step: the monitor needs no stop of its own,
+    and a strike needs reference steps from its site to its branch.
     """
 
     def __init__(
@@ -742,46 +800,41 @@ def _trial(module: Module, golden: ExecResult, plan: FaultPlan,
         faults = [(s, b, None) for s, b, _ in faults]
         recovery_faults = tuple((o, b, None) for o, b, _ in recovery_faults)
     supervisor = RecoverySupervisor(config.policy(), recovery_faults)
-    injector = _FaultInjector(faults, supervisor, plan.metadata_faults)
     cf_injector: Optional[_ControlFlowInjector] = None
-    recorder: Optional[ChunkRecorder] = None
-    pre_step = None
-    post_step = injector
     if plan.control_faults:
         cf_injector = _ControlFlowInjector(
             plan.control_faults, config.cfe_detector, supervisor
         )
-
-        def post_step(interp, event, _inj=injector, _cf=cf_injector):
-            # Register/metadata surface first, then the control surface
-            # — a branch's destination register is corrupted before its
-            # realized edge is corrupted or checked.
-            _inj(interp, event)
-            _cf(interp, event)
-
+    injector = _FaultInjector(faults, supervisor, plan.metadata_faults,
+                              cf_injector)
+    recorder: Optional[ChunkRecorder] = None
+    hooks = dict(stops=injector)
     if config.detector_backend == "replay":
+        # The recorder digests every step, so replay trials keep the
+        # per-step hooks (and with them the reference tier).
         recorder = ChunkRecorder(
             config.replay_chunk_size,
             detector=ReplayDetector(module, externals=externals),
             supervisor=supervisor,
             injector=injector,
         )
-        pre_step = recorder.on_pre_step
 
-        def post_step(interp, event, _inj=post_step, _rec=recorder):
+        def post_step(interp, event, _inj=injector, _rec=recorder):
             # Injection first, so a corrupted destination register is
             # digested on its own step — guaranteeing the divergence
             # lands in the faulting chunk (latency <= chunk size).
-            _inj(interp, event)
+            _inj.on_step(interp, event)
             _rec.on_post_step(interp, event)
+
+        hooks = dict(pre_step=recorder.on_pre_step, post_step=post_step)
 
     # A trial that runs four times the golden run's length is a hang.
     max_steps = max(golden.events * 4, 10_000)
     interp = make_interpreter(
         module, engine=config.engine, max_steps=max_steps,
-        pre_step=pre_step, post_step=post_step, externals=externals,
-        metadata_guard=config.metadata_guard, memory_image=memory_image,
-        max_threads=config.threads, quantum=config.quantum,
+        externals=externals, metadata_guard=config.metadata_guard,
+        memory_image=memory_image, max_threads=config.threads,
+        quantum=config.quantum, **hooks,
     )
     trapped = False
     hang = False

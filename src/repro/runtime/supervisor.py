@@ -92,12 +92,13 @@ class RecoverySupervisor:
     """Tracks and bounds all rollback activity of one trial.
 
     Wired into the trial two ways: the fault injector forwards detector
-    deadlines to :meth:`on_detection`, and the trial's post-step hook
-    calls :meth:`on_step` every dynamic instruction so the supervisor
-    can observe committed progress, run the watchdog, and inject the
-    planned recovery-window faults.  The trap path of
-    ``run_planned_trial`` calls :meth:`on_trap` instead of redirecting
-    control itself.
+    deadlines to :meth:`on_detection`, and calls :meth:`on_step` after
+    each step the trial observes, so the supervisor can observe
+    committed progress, run the watchdog, and inject the planned
+    recovery-window faults.  :meth:`stops` and :attr:`rollback_active`
+    tell the trial's stop schedule which steps those are.  The trap
+    path of ``run_planned_trial`` calls :meth:`on_trap` instead of
+    redirecting control itself.
     """
 
     def __init__(
@@ -125,6 +126,26 @@ class RecoverySupervisor:
     # ------------------------------------------------------------------
     # progress observation, watchdog, recovery-window injection
     # ------------------------------------------------------------------
+
+    def stops(self) -> List[int]:
+        """The event indices at which :meth:`on_step` acts next: armed
+        recovery-window faults, deadlines, and the watchdog.
+
+        Progress can only change where the owner frame's recovery
+        pointer moves or the frame pops; the trial's stop schedule
+        covers those instructions while :attr:`rollback_active`.
+        """
+        stops = [fault[0] for fault in self._armed]
+        stops.extend(self._deadlines)
+        budget = self.policy.attempt_step_budget
+        if self._active is not None and budget is not None:
+            stops.append(self._active_since + budget + 1)
+        return stops
+
+    @property
+    def rollback_active(self) -> bool:
+        """A rollback has not committed yet."""
+        return self._active is not None
 
     def on_step(self, interp, event) -> None:
         """Per-step hook: progress tracking, watchdog, double faults."""

@@ -9,61 +9,48 @@ worker crashes, and work-stealing can reorder execution but never
 change results.
 """
 
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.dispatch import (
-    CampaignSpec,
-    CampaignTask,
-    CANCELLED,
-    COMPLETED,
-    FAILED,
-    FuzzSpec,
-    FuzzTask,
-    INTERRUPTED,
-    QUEUED,
-    RUNNING,
-    SpecError,
-    STARTING,
-    TERMINAL_STATES,
-)
-from repro.runtime.health import (
-    BatchState,
-    ExponentialBackoff,
-    HealthMonitor,
-    WorkerHealth,
-    default_batch_size,
-    shard_batches,
-)
-from repro.service.server import (
-    CampaignServer,
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    run_server,
-)
+import importlib
 
-__all__ = [
-    "BatchState",
-    "CANCELLED",
-    "COMPLETED",
-    "CampaignServer",
-    "CampaignSpec",
-    "CampaignTask",
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "ExponentialBackoff",
-    "FAILED",
-    "FuzzSpec",
-    "FuzzTask",
-    "HealthMonitor",
-    "INTERRUPTED",
-    "QUEUED",
-    "RUNNING",
-    "STARTING",
-    "ServiceClient",
-    "ServiceError",
-    "SpecError",
-    "TERMINAL_STATES",
-    "WorkerHealth",
-    "default_batch_size",
-    "run_server",
-    "shard_batches",
-]
+#: Where each public name lives.  Names resolve on first use (PEP 562),
+#: so a client process (``repro submit``, a benchmark) that needs only
+#: :class:`ServiceClient` never imports the server, the dispatcher or
+#: ``asyncio``.
+_EXPORTS = {
+    "ServiceClient": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "CampaignSpec": "repro.service.dispatch",
+    "CampaignTask": "repro.service.dispatch",
+    "CANCELLED": "repro.service.dispatch",
+    "COMPLETED": "repro.service.dispatch",
+    "FAILED": "repro.service.dispatch",
+    "FuzzSpec": "repro.service.dispatch",
+    "FuzzTask": "repro.service.dispatch",
+    "INTERRUPTED": "repro.service.dispatch",
+    "QUEUED": "repro.service.dispatch",
+    "RUNNING": "repro.service.dispatch",
+    "SpecError": "repro.service.dispatch",
+    "STARTING": "repro.service.dispatch",
+    "TERMINAL_STATES": "repro.service.dispatch",
+    "BatchState": "repro.runtime.health",
+    "ExponentialBackoff": "repro.runtime.health",
+    "HealthMonitor": "repro.runtime.health",
+    "WorkerHealth": "repro.runtime.health",
+    "default_batch_size": "repro.runtime.health",
+    "shard_batches": "repro.runtime.health",
+    "CampaignServer": "repro.service.server",
+    "DEFAULT_HOST": "repro.service.server",
+    "DEFAULT_PORT": "repro.service.server",
+    "run_server": "repro.service.server",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = sorted(_EXPORTS)

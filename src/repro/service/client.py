@@ -9,7 +9,6 @@ object is cheap and stateless apart from its address.
 
 from __future__ import annotations
 
-import http.client
 import json
 import time
 from typing import Any, Callable, Dict, Iterator, Optional
@@ -40,6 +39,15 @@ class ServiceClient:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
+    def _connect(self, timeout: float):
+        # The HTTP stack (``http.client`` pulls in ``email`` and
+        # ``ssl``) loads on first use, not when a process that never
+        # talks to a server imports the client.
+        import http.client
+
+        return http.client.HTTPConnection(self.host, self.port,
+                                          timeout=timeout)
+
     def _request(
         self,
         method: str,
@@ -47,10 +55,8 @@ class ServiceClient:
         body: Optional[Dict[str, Any]] = None,
         timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port,
-            timeout=self.timeout if timeout is None else timeout,
-        )
+        connection = self._connect(
+            self.timeout if timeout is None else timeout)
         try:
             payload = None
             headers = {}
@@ -138,9 +144,7 @@ class ServiceClient:
         timeout: float = 600.0,
     ) -> Iterator[bytes]:
         """Yield journal bytes (whole lines) as the server streams them."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=timeout
-        )
+        connection = self._connect(timeout)
         try:
             try:
                 connection.request(

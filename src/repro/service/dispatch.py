@@ -145,6 +145,7 @@ class CampaignTask:
         self.elapsed: float = 0.0
         self.monitor = HealthMonitor(heartbeat_timeout=heartbeat_timeout)
         self.results: Dict[int, TrialResult] = {}
+        self.trials_done = 0
         self.outcome_counts: Dict[str, int] = {o: 0 for o in OUTCOMES}
         self.batches: List[BatchState] = []
         self.done_event = asyncio.Event()
@@ -153,6 +154,10 @@ class CampaignTask:
         self._executor: Optional[Executor] = None
         self._journal: Optional[InOrderJournal] = None
         self._stop_requested: Optional[str] = None
+        # What a completed campaign keeps of its executor (_release).
+        self._worker_restarts = 0
+        self._quarantined_batches = 0
+        self._batch_states: Optional[Dict[str, int]] = None
 
     # -- observation --------------------------------------------------
 
@@ -161,16 +166,16 @@ class CampaignTask:
         return self.spec.trials
 
     @property
-    def trials_done(self) -> int:
-        return len(self.results)
-
-    @property
     def worker_restarts(self) -> int:
-        return self._executor.worker_restarts if self._executor else 0
+        if self._executor is None:
+            return self._worker_restarts
+        return self._executor.worker_restarts
 
     @property
     def quarantined_batches(self) -> int:
-        return self._executor.quarantined_batches if self._executor else 0
+        if self._executor is None:
+            return self._quarantined_batches
+        return self._executor.quarantined_batches
 
     def aggregates(self) -> Dict[str, Any]:
         """Live campaign statistics (the dashboard payload)."""
@@ -197,10 +202,16 @@ class CampaignTask:
             return self.elapsed
         return time.monotonic() - self.started_monotonic
 
-    def status(self) -> Dict[str, Any]:
+    def _count_batch_states(self) -> Dict[str, int]:
+        if self._batch_states is not None:
+            return dict(self._batch_states)
         batch_states: Dict[str, int] = {}
         for batch in self.batches:
             batch_states[batch.status] = batch_states.get(batch.status, 0) + 1
+        return batch_states
+
+    def status(self) -> Dict[str, Any]:
+        batch_states = self._count_batch_states()
         return {
             "id": self.campaign_id,
             "kind": self.kind,
@@ -298,7 +309,21 @@ class CampaignTask:
             worker_trials=self._executor.worker_trials,
             pool_restarts=self.worker_restarts,
         )
+        self._release()
         self.state = COMPLETED
+
+    def _release(self) -> None:
+        """Keep the counts of a completed campaign, not its executor.
+
+        The executor holds every plan, per-index result and batch; the
+        journal already holds every record, and ``result`` every trial.
+        """
+        self._worker_restarts = self._executor.worker_restarts
+        self._quarantined_batches = self._executor.quarantined_batches
+        self._batch_states = self._count_batch_states()
+        self._executor = None
+        self.batches = []
+        self.results = {}
 
     def _prepare(self) -> Tuple[Any, int]:
         module = parse_module(self.spec.module_text)
@@ -310,6 +335,7 @@ class CampaignTask:
     def _record(self, index: int, trial: TrialResult) -> None:
         """Executor callback (its thread): one trial, first delivery."""
         self.results[index] = trial
+        self.trials_done += 1
         self.outcome_counts[trial.outcome] = (
             self.outcome_counts.get(trial.outcome, 0) + 1
         )
